@@ -83,7 +83,6 @@ from .simplex import (
     logit_distance,
     project_to_simplex,
     project_to_shrunk_simplex,
-    sample_simplex,
     sample_simplex_points,
     tangent_min_eigenvalue,
     tangent_operator_norm,
@@ -96,7 +95,6 @@ from .solvers import (
     SolveConfig,
     SolveResult,
     constant_policy_trace,
-    constant_schedule,
     grid_optimum_binary,
     inverse_schedule,
     online_sgd,

@@ -28,7 +28,6 @@ from .simplex import (
     SimplexPoint,
     binary_point,
     sample_simplex_points,
-    tangent_basis,
     tangent_operator_norm,
     uniform_point,
 )
@@ -126,6 +125,13 @@ class EnvironmentMap:
         if self.kind == RAMP_BINARY:
             kink = (1.0 - self.zeta - self.ramp_start) / (1.0 - self.eps)
             return np.where(x < kink, 1.0 - self.eps, 0.0)
+        if self.kind == TABULATED:
+            # the segment [xs[k], xs[k+1]) containing x, so right-continuous
+            # at knots; the last knot takes the last segment; flat outside
+            xs, ys = self.grid
+            slopes = np.diff(ys) / np.diff(xs)
+            k = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, slopes.size - 1)
+            return np.where((x >= xs[0]) & (x <= xs[-1]), slopes[k], 0.0)
         if self.kind == LINEAR and self.n == 2:
             return np.broadcast_to(
                 np.asarray(self.A[0, 0] - self.A[0, 1], dtype=float), x.shape
@@ -139,9 +145,9 @@ class EnvironmentMap:
     def jacobian(self, p: SimplexPoint) -> np.ndarray:
         """Df(p) as an n x n matrix; only its action on T matters.
 
-        Analytic for every shipped kind except tabulated (central
-        differences).  At the ramp kink the left slope is reported; the
-        map is not differentiable there.
+        Analytic for every shipped kind.  At a kink (the ramp's, a tabulated
+        knot) the map is not differentiable and ``slope1``'s one-sided slope
+        is reported.
         """
         self._check_point(p)
         if self.kind == AFFINE_BINARY:
@@ -150,27 +156,21 @@ class EnvironmentMap:
             return (1.0 - self.alpha) * np.eye(self.n)
         if self.kind == LINEAR:
             return np.array(self.A)
-        if self.kind in (BANK_RUN, RAMP_BINARY):
-            d = float(self.slope1(np.asarray(p[0])))
-            return np.array([[d, 0.0], [-d, 0.0]])
-        return self._jacobian_fd(p)
+        d = float(self.slope1(np.asarray(p[0])))
+        return np.array([[d, 0.0], [-d, 0.0]])
 
-    def _jacobian_fd(self, p: SimplexPoint, step: float = 1e-6) -> np.ndarray:
-        B = tangent_basis(self.n)
-        cols = []
-        for k in range(self.n - 1):
-            d = B[:, k]
-            h = step
-            # shrink the step so both evaluation points stay inside Delta
-            room = np.min(np.where(d != 0.0, np.where(
-                d > 0, (1.0 - p.probs) / np.where(d > 0, d, 1.0),
-                p.probs / np.where(d < 0, -d, 1.0)), np.inf))
-            h = min(h, 0.5 * room) if np.isfinite(room) else h
-            up = SimplexPoint(np.clip(p.probs + h * d, 0.0, None))
-            dn = SimplexPoint(np.clip(p.probs - h * d, 0.0, None))
-            cols.append((self.eval(up).probs - self.eval(dn).probs) / (2.0 * h))
-        JB = np.column_stack(cols)
-        return JB @ B.T
+    def _jacobian_t_rows(self, H: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """Df(H_r)^T G_r for every row r of bare (R, n) arrays (no validation)."""
+        if self.kind == AFFINE_BINARY:
+            return self.alpha * G
+        if self.kind == SHRINK_TO:
+            return (1.0 - self.alpha) * G
+        if self.kind == LINEAR:
+            return G @ self.A
+        d = self.slope1(H[:, 0])
+        out = np.zeros_like(G)
+        out[:, 0] = d * G[:, 0] - d * G[:, 1]
+        return out
 
     def lipschitz_estimate(self, samples: int = 200, seed: int = 0) -> float:
         """sup_p ||Df(p)||_op on the tangent space.

@@ -7,7 +7,10 @@ the two-player oracle game.  This module also implements the weighted
 market game (N traders scored against outcomes drawn from f of the
 weighted average prediction) with its per-trader accuracy bound, and the
 regret accounting that links no-regret learning to vanishing prediction
-error.
+error.  Market best responses run on the solvers' batched ascent: a
+synchronous round, and the closing best-response-gap pass, advance all N
+traders as the rows of one array, each row ascending its trader's score
+with the others' weighted reports held fixed.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ from .scoring import ScoringRule
 from .simplex import (
     SimplexPoint,
     l2_distance,
-    project_to_simplex,
     tangent_operator_norm,
     uniform_point,
 )
 from .solvers import (
-    MAX_BACKTRACKS,
     OnlineTrace,
     SolveConfig,
+    _ascend_rows,
+    _RowProblem,
     performative_optimum,
 )
 
@@ -111,6 +114,9 @@ def rank_fixed_points(rule: ScoringRule, fps: FixedPointSet) -> list:
 # -- prediction markets ---------------------------------------------------------
 
 
+BEST_RESPONSE_STEP = 0.5
+
+
 @dataclass(frozen=True)
 class MarketGame:
     """N weighted traders scored against outcomes from f(weighted average)."""
@@ -140,43 +146,13 @@ class MarketEquilibrium:
     rounds: int = 0
 
 
-def _player_gradient(game: MarketGame, idx: int, own: np.ndarray, rest: np.ndarray):
-    """Tangent gradient of trader idx's expected score in their own report."""
-    rule, f = game.rule, game.f
-    w = game.weights[idx]
-    hat = SimplexPoint(rest + w * own)
-    q = f.eval(hat).probs
-    p = SimplexPoint(own)
-    v = rule.hessian(p).T @ (q - own) + w * (f.jacobian(hat).T @ rule.subgradient(p).comps)
-    return v - v.mean(), hat, q
+def _best_responses(game: MarketGame, own, rest, weight, inner_iters, tol):
+    """Projected-ascent best responses of several traders at once.
 
-
-def _player_objective(game: MarketGame, idx: int, own: np.ndarray, rest: np.ndarray):
-    hat = SimplexPoint(rest + game.weights[idx] * own)
-    return game.rule.expected_score(SimplexPoint(own), game.f.eval(hat))
-
-
-def _best_response(game, idx, own, rest, max_iters, tol, step0=0.5):
-    """Projected gradient ascent on one trader's subproblem."""
-    p = own.copy()
-    phi = _player_objective(game, idx, p, rest)
-    for _ in range(max_iters):
-        grad, _, _ = _player_gradient(game, idx, p, rest)
-        if np.linalg.norm(grad) <= tol:
-            break
-        step = step0
-        accepted = None
-        for _ in range(MAX_BACKTRACKS + 1):
-            cand = project_to_simplex(p + step * grad).probs
-            cand_phi = _player_objective(game, idx, cand, rest)
-            if cand_phi > phi:
-                accepted = (cand, cand_phi)
-                break
-            step *= 0.5
-        if accepted is None:
-            break
-        p, phi = accepted
-    return p, phi
+    Row r is one trader: it ascends S(p, f(rest_r + weight_r p)) from own_r.
+    """
+    problem = _RowProblem(game.rule, game.f, rest, weight)
+    return _ascend_rows(problem, own, inner_iters, BEST_RESPONSE_STEP, tol)
 
 
 def market_equilibrium(
@@ -211,18 +187,16 @@ def market_equilibrium(
             )
         moved = 0.0
         if mode == "synchronous":
-            updates = np.empty_like(profile)
-            for i in range(N):
-                rest = (w[:, None] * profile).sum(axis=0) - w[i] * profile[i]
-                updates[i], _ = _best_response(
-                    game, i, profile[i], rest, inner_iters, tol
-                )
+            rest = (w[:, None] * profile).sum(axis=0) - w[:, None] * profile
+            updates = _best_responses(game, profile, rest, w, inner_iters, tol).P
             moved = float(np.max(np.linalg.norm(updates - profile, axis=1)))
             profile = updates
         else:
             for i in range(N):
                 rest = (w[:, None] * profile).sum(axis=0) - w[i] * profile[i]
-                new, _ = _best_response(game, i, profile[i], rest, inner_iters, tol)
+                new = _best_responses(
+                    game, profile[i:i + 1], rest[None, :], w[i:i + 1], inner_iters, tol
+                ).P[0]
                 moved = max(moved, float(np.linalg.norm(new - profile[i])))
                 profile[i] = new
         if moved <= tol:
@@ -232,11 +206,10 @@ def market_equilibrium(
             f"no market equilibrium within {max_rounds} rounds", best=profile
         )
     hat = SimplexPoint((w[:, None] * profile).sum(axis=0))
-    gaps = []
-    for i in range(N):
-        rest = hat.probs - w[i] * profile[i]
-        _, br_phi = _best_response(game, i, profile[i], rest, inner_iters, tol)
-        gaps.append(max(0.0, br_phi - _player_objective(game, i, profile[i], rest)))
+    rest = hat.probs - w[:, None] * profile
+    own_phi = _RowProblem(game.rule, game.f, rest, w).objective(profile, np.arange(N))
+    br_phi = _best_responses(game, profile, rest, w, inner_iters, tol).phi
+    gaps = [max(0.0, float(b - o)) for b, o in zip(br_phi, own_phi)]
     return MarketEquilibrium(
         predictions=[SimplexPoint(row) for row in profile],
         market_prediction=hat,

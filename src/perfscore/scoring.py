@@ -243,6 +243,43 @@ class ScoringRule:
         d1 = (Y == 1).astype(float) - P[:, 1]
         return 2.0 * e / self.K + e * (d0 - d1)
 
+    # -- row kernels ---------------------------------------------------------
+    # Bare (R, n) arrays of reports P and beliefs Q, one pair per row, no
+    # validation: the solvers' batched ascent checks its iterates itself.
+
+    def _objective_rows(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """S(P_r, Q_r) for every row r (``expected_score`` row by row)."""
+        if self.kind == QUADRATIC:
+            return np.einsum("ij,ij->i", 2.0 * P, Q) - np.einsum("ij,ij->i", P, P)
+        if self.kind == LOGARITHMIC:
+            # 0 * (-inf) = 0: outcomes of zero belief contribute nothing
+            with np.errstate(divide="ignore"):
+                logs = np.log(np.where(Q > 0.0, P, 1.0))
+            return np.einsum("ij,ij->i", Q, logs)
+        e = np.exp(self.K * P[:, 0])
+        return 2.0 * e / self.K + e * (Q[:, 0] - P[:, 0]) - e * (Q[:, 1] - P[:, 1])
+
+    def _ascent_rows(self, P: np.ndarray, Q: np.ndarray):
+        """(Dg(P)^T (Q - P), g(P)) row by row: the rule's two gradient terms.
+
+        The log rule's rows must be interior.
+        """
+        D = Q - P
+        if self.kind == QUADRATIC:
+            return 2.0 * D, 2.0 * P - 2.0 / self.n
+        if self.kind == LOGARITHMIC:
+            inv = 1.0 / P
+            logs = np.log(P)
+            return (
+                inv * (D - D.sum(axis=1, keepdims=True) / self.n),
+                logs - logs.mean(axis=1, keepdims=True),
+            )
+        e = np.exp(self.K * P[:, 0])
+        Ke = self.K * e
+        first = np.zeros_like(P)
+        first[:, 0] = Ke * D[:, 0] - Ke * D[:, 1]
+        return first, np.column_stack([e, -e])
+
     # -- internals ---------------------------------------------------------
 
     def _check_point(self, p: SimplexPoint):

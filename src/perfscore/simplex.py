@@ -163,6 +163,55 @@ def project_raw(v: np.ndarray) -> np.ndarray:
     return out / total if abs(total - 1.0) > 1e-9 else out
 
 
+def project_rows(V: np.ndarray) -> np.ndarray:
+    """``project_raw`` applied to every row of an (R, n) array at once.
+
+    Row-wise sort-and-shift (Duchi et al. 2008; Condat 2016) with the same
+    arithmetic as ``project_raw``, so each row equals the 1-D result.  No
+    validation; ``checked_rows`` applies the constructor checks.
+    """
+    R, n = V.shape
+    U = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1) - 1.0
+    ks = np.arange(1, n + 1)
+    # last index where the condition holds; a row with no hit keeps index 0
+    rho = np.where(U - css / ks > 0, ks, 1).max(axis=1) - 1
+    theta = css[np.arange(R), rho] / (rho + 1.0)
+    out = np.maximum(V - theta[:, None], 0.0)
+    total = out.sum(axis=1)
+    empty = total <= 0.0
+    if empty.any():
+        out[empty] = 0.0
+        out[empty, np.argmax(V[empty], axis=1)] = 1.0
+        total[empty] = 1.0
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        out[off] /= total[off, None]
+    return out
+
+
+def checked_rows(V: np.ndarray) -> np.ndarray:
+    """The ``SimplexPoint`` constructor's checks and clamping, row by row.
+
+    Raises ``InvalidArgumentError`` for a non-finite entry, an entry below
+    -1e-12 or a row sum further than 1e-9 from 1; otherwise returns the
+    clamped, renormalized rows, each equal to ``SimplexPoint(row).probs``.
+    """
+    # NaN fails every comparison; entries of a valid row lie in
+    # [-CLAMP_TOL, 2], so the row sums are taken only once that holds
+    low = V.min()
+    sums = None
+    if low >= -CLAMP_TOL and V.max() <= 2.0:
+        sums = V.sum(axis=1)
+    if sums is None or not np.abs(sums - 1.0).max() <= SUM_TOL:
+        for row in V:
+            SimplexPoint(row)  # raises the constructor's own error
+    if low < 0.0:
+        V = np.maximum(V, 0.0)
+        sums = V.sum(axis=1)
+    return V / sums[:, None]
+
+
 def project_to_simplex(v) -> SimplexPoint:
     """Euclidean projection onto the probability simplex.
 
@@ -266,19 +315,6 @@ def tangent_min_eigenvalue(M) -> float:
     MT = _restrict_to_tangent(M)
     MT = 0.5 * (MT + MT.T)
     return float(np.linalg.eigvalsh(MT)[0])
-
-
-def tangent_max_eigenvalue(M) -> float:
-    """Largest eigenvalue of the symmetrized restriction of M to T."""
-    MT = _restrict_to_tangent(M)
-    MT = 0.5 * (MT + MT.T)
-    return float(np.linalg.eigvalsh(MT)[-1])
-
-
-def sample_simplex(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform draw from Delta(n) via sorted-uniform gaps."""
-    cuts = np.sort(rng.random(n - 1))
-    return np.diff(np.concatenate(([0.0], cuts, [1.0])))
 
 
 def sample_simplex_points(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

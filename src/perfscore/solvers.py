@@ -7,7 +7,13 @@ phi(p) = S(p, f(p)), whose gradient decomposes as
 
 ``performative_optimum`` maximizes phi by multi-start projected gradient
 ascent (phi is not concave in general); binary problems additionally get a
-brute-force grid oracle.  The remaining routines implement the dynamics
+brute-force grid oracle.  All starts advance together: one kernel moves an
+(R, n) array of reports, one row per start, through the rules' and maps'
+row kernels on bare arrays and a row-wise simplex projection, each row
+with its own step, backtracking and stops; the iterates get the
+``SimplexPoint`` checks as array checks, and point objects are built only
+for the returned results.  The market best responses in ``games`` run on
+the same kernel.  The remaining routines implement the dynamics
 that converge to fixed points instead of optima: fixed-point iteration of
 f (repeated risk minimization), ascent on the frozen-belief objective
 Dg(p)^T (f(p) - p) (repeated gradient ascent), and its stochastic
@@ -30,11 +36,11 @@ from .simplex import (
     SimplexPoint,
     TangentVector,
     binary_point,
+    checked_rows,
     project_raw,
-    project_to_shrunk_simplex,
+    project_rows,
     project_to_simplex,
     sample_simplex_points,
-    uniform_point,
 )
 
 OBJECTIVE_TIE_TOL = 1e-12
@@ -71,16 +77,64 @@ class SolveResult:
     trajectory: Optional[list] = field(default=None, repr=False)
 
 
+class _RowProblem:
+    """Row r of a batch maximizes S(p, f(rest_r + w_r p)) over its report p.
+
+    A plain solve has rest = 0 and w = 1 (every row maximizes phi); a market
+    row is one trader, with the others' weighted reports in ``rest`` and the
+    trader's weight in ``w``.  Methods take bare (k, n) reports and the
+    batch indices ``idx`` of their rows.
+    """
+
+    def __init__(self, rule: ScoringRule, f: EnvironmentMap, rest=None, weight=None):
+        self.rule = rule
+        self.f = f
+        self.rest = rest
+        self.weight = weight
+
+    def _induced(self, P, idx):
+        if self.rest is None:
+            H = P
+        else:
+            H = self.rest[idx] + self.weight[idx, None] * P
+        return H, checked_rows(self.f.eval_rows(H))
+
+    def objective(self, P, idx):
+        return self.rule._objective_rows(P, self._induced(P, idx)[1])
+
+    def gradient(self, P, idx):
+        """Tangent gradients Dg(P)^T (f(H) - P) + w Df(H)^T g(P), H = rest + w P."""
+        H, Q = self._induced(P, idx)
+        D, G = self.rule._ascent_rows(P, Q)
+        J = self.f._jacobian_t_rows(H, G)
+        V = D + (J if self.weight is None else self.weight[idx, None] * J)
+        V -= V.mean(axis=1, keepdims=True)
+        if not np.isfinite(V).all():
+            raise InvalidArgumentError(f"gradient comps must be finite, got {V}")
+        return V
+
+    def defined(self, P):
+        """Rows where the gradient exists: the log rule needs interior reports."""
+        if self.rule.kind == LOGARITHMIC:
+            return (P > 0.0).all(axis=1)
+        return np.ones(P.shape[0], dtype=bool)
+
+
+def _row_norms(V):
+    return np.sqrt(np.einsum("ij,ij->i", V, V))
+
+
 def performative_gradient(
     rule: ScoringRule, f: EnvironmentMap, p: SimplexPoint
 ) -> TangentVector:
     """Tangent gradient of phi(p) = S(p, f(p))."""
-    q = f.eval(p)
-    Dg = rule.hessian(p)
-    Df = f.jacobian(p)
-    g = rule.subgradient(p).comps
-    v = Dg.T @ (q.probs - p.probs) + Df.T @ g
-    return TangentVector(v - v.mean())
+    rule._check_point(p)
+    f._check_point(p)
+    P = p.probs[None, :]
+    problem = _RowProblem(rule, f)
+    if not problem.defined(P)[0]:
+        raise DomainError("log-rule gradient is unbounded at the boundary")
+    return TangentVector(problem.gradient(P, None)[0])
 
 
 def stop_gradient(rule: ScoringRule, f: EnvironmentMap, p: SimplexPoint) -> TangentVector:
@@ -118,63 +172,113 @@ def _pick_best(candidates):
     return best
 
 
-def _ascend(rule, f, start: SimplexPoint, cfg: SolveConfig, deadline) -> SolveResult:
-    """One projected-gradient-ascent run with halving backtracking."""
-    p = start
-    phi = _objective(rule, f, p)
-    gn = float("nan")
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
+@dataclass
+class _Rows:
+    """Per-row state of a batched ascent."""
+
+    P: np.ndarray
+    phi: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    gradient_norm: np.ndarray
+
+    def results(self) -> list:
+        return [
+            SolveResult(SimplexPoint(p), float(phi), bool(c), int(it), float(gn))
+            for p, phi, c, it, gn in zip(
+                self.P, self.phi, self.converged, self.iterations, self.gradient_norm
+            )
+        ]
+
+
+def _ascend_rows(
+    problem: _RowProblem, starts: np.ndarray, max_iters: int, step_size: float,
+    tol: float, deadline=None,
+) -> _Rows:
+    """Projected gradient ascent from every row of ``starts`` at once.
+
+    Each row follows the one-start rule on its own: a step that starts at
+    ``step_size`` every iteration and halves up to MAX_BACKTRACKS times
+    until the objective strictly rises, and four stops: gradient norm <= tol
+    and a move <= tol (converged), no ascent step along the gradient ray (a
+    boundary optimum, converged), or ``max_iters``.  A log-rule row that
+    leaves the interior stops unconverged.  Rows leave the batch as they
+    stop.  Past ``deadline`` the best row so far is raised in a
+    ``SolveTimeoutError``.
+    """
+    R = starts.shape[0]
+    rows = _Rows(
+        P=starts.copy(),
+        phi=problem.objective(starts, np.arange(R)),
+        converged=np.zeros(R, dtype=bool),
+        iterations=np.zeros(R, dtype=np.int64),
+        gradient_norm=np.full(R, np.nan),
+    )
+    live = np.arange(R)
+    for it in range(1, max_iters + 1):
+        if live.size == 0:
+            break
         if deadline is not None and time.monotonic() > deadline:
+            best = _pick_best(rows.results())
+            best.objective = _objective(problem.rule, problem.f, best.report)
             raise SolveTimeoutError(
                 "performative optimum solve exceeded its wall-clock budget",
-                best=SolveResult(p, phi, False, it, gn),
+                best=best,
             )
-        try:
-            grad = performative_gradient(rule, f, p)
-        except DomainError:
+        rows.iterations[live] = it
+        live = live[problem.defined(rows.P[live])]
+        if live.size == 0:
             break
-        gn = grad.norm
-        if gn <= cfg.tol:
-            converged = True
+        X = rows.P[live]
+        G = problem.gradient(X, live)
+        gn = _row_norms(G)
+        rows.gradient_norm[live] = gn
+        flat = gn <= tol
+        rows.converged[live[flat]] = True
+        live, X, G = live[~flat], X[~flat], G[~flat]
+        if live.size == 0:
             break
-        step = cfg.step_size
-        accepted = None
+
+        new = np.empty_like(X)
+        new_phi = np.empty(live.size)
+        step = np.full(live.size, step_size)
+        todo = np.arange(live.size)
         for _ in range(MAX_BACKTRACKS + 1):
-            cand = project_to_simplex(p.probs + step * grad.comps)
-            cand_phi = _objective(rule, f, cand)
-            if cand_phi > phi:
-                accepted = (cand, cand_phi)
+            cand = checked_rows(project_rows(X[todo] + step[todo, None] * G[todo]))
+            cand_phi = problem.objective(cand, live[todo])
+            up = cand_phi > rows.phi[live[todo]]
+            new[todo[up]] = cand[up]
+            new_phi[todo[up]] = cand_phi[up]
+            todo = todo[~up]
+            if todo.size == 0:
                 break
-            step *= 0.5
-        if accepted is None:
-            # no ascent step exists along the gradient ray: boundary optimum
-            converged = True
-            break
-        moved = np.linalg.norm(accepted[0].probs - p.probs)
-        p, phi = accepted
-        if moved <= cfg.tol:
-            converged = True
-            break
-    return SolveResult(p, phi, converged, it, gn)
+            step[todo] *= 0.5
+        # no ascent step exists along the gradient ray: boundary optimum
+        rows.converged[live[todo]] = True
+        ok = np.ones(live.size, dtype=bool)
+        ok[todo] = False
+        live, X, new = live[ok], X[ok], new[ok]
+        rows.P[live] = new
+        rows.phi[live] = new_phi[ok]
+        still = _row_norms(new - X) > tol
+        rows.converged[live[~still]] = True
+        live = live[still]
+    return rows
 
 
-def _polish_interior(rule, f, res: SolveResult, cfg: SolveConfig) -> SolveResult:
+def _polish_interior(problem: _RowProblem, res: SolveResult, cfg: SolveConfig) -> SolveResult:
     """Drive the gradient norm below tol at an interior optimum.
 
     The line-search ascent cannot resolve objective improvements below
     floating rounding (~1e-8 displacements), so the final sharpening
     accepts steps by gradient-norm decrease instead.
     """
-    p = res.report
-    if not p.is_interior(1e-9):
+    if not res.report.is_interior(1e-9):
         return res
-    try:
-        gn = performative_gradient(rule, f, p).norm
-    except DomainError:
-        return res
-    phi = _objective(rule, f, p)
+    X = res.report.probs[None, :]
+    G = problem.gradient(X, None)
+    gn = float(_row_norms(G)[0])
+    phi = float(problem.objective(X, None)[0])
     # allowance below which objective changes are indistinguishable from
     # rounding; large enough to admit genuine polish steps, small enough to
     # veto jumps out of the basin
@@ -183,51 +287,52 @@ def _polish_interior(rule, f, res: SolveResult, cfg: SolveConfig) -> SolveResult
     for _ in range(200):
         if gn <= cfg.tol:
             break
-        grad = performative_gradient(rule, f, p)
         step = cfg.step_size
         accepted = None
         for _ in range(MAX_BACKTRACKS + 1):
-            cand = project_to_simplex(p.probs + step * grad.comps)
-            try:
-                cand_gn = performative_gradient(rule, f, cand).norm
-            except DomainError:
+            cand = checked_rows(project_rows(X + step * G))
+            if problem.defined(cand)[0]:
+                cand_G = problem.gradient(cand, None)
+                cand_gn = float(_row_norms(cand_G)[0])
+            else:
                 cand_gn = float("inf")
-            if cand_gn < gn and _objective(rule, f, cand) >= phi - slack:
-                accepted = (cand, cand_gn)
+            if cand_gn < gn and problem.objective(cand, None)[0] >= phi - slack:
+                accepted = (cand, cand_G, cand_gn)
                 break
             step *= 0.5
         if accepted is None:
             break
-        p, gn = accepted
-        phi = _objective(rule, f, p)
+        X, G, gn = accepted
+        phi = float(problem.objective(X, None)[0])
         it += 1
     return SolveResult(
-        report=p,
-        objective=_objective(rule, f, p),
+        report=SimplexPoint(X[0]) if it > res.iterations else res.report,
+        objective=phi,
         converged=res.converged or gn <= cfg.tol,
         iterations=it,
         gradient_norm_final=gn,
     )
 
 
-def _structured_starts(rule, n, cfg, rng):
-    starts = [uniform_point(n)]
+def _structured_starts(rule, n, cfg, rng) -> np.ndarray:
+    starts = [np.full(n, 1.0 / n)]
     nudge = LOG_INTERIOR_NUDGE
     for i in range(n):
         v = np.full(n, nudge / n)
         v[i] = 1.0 - nudge + nudge / n
-        starts.append(SimplexPoint(v / v.sum()))
+        starts.append(v / v.sum())
     for i in range(n):
         v = np.full(n, 1.0 / (n - 1.0))
         v[i] = 0.0
         if rule.kind == LOGARITHMIC:
             v = (1.0 - nudge) * v + nudge / n
-        starts.append(SimplexPoint(v / v.sum()))
+        starts.append(v / v.sum())
     extra = cfg.restarts - len(starts)
     if extra > 0:
-        for row in sample_simplex_points(n, extra, rng):
-            starts.append(SimplexPoint(row))
-    return starts[: max(cfg.restarts, 1)] if cfg.restarts < len(starts) else starts
+        starts.extend(sample_simplex_points(n, extra, rng))
+    if cfg.restarts < len(starts):
+        starts = starts[: cfg.restarts]
+    return checked_rows(np.array(starts))
 
 
 def grid_optimum_binary(
@@ -266,10 +371,13 @@ def performative_optimum(
     """argmax_p S(p, f(p)) by multi-start projected gradient ascent.
 
     Starts from the barycenter, inward-nudged vertices, face centers, and
-    seeded uniform draws.  Binary problems also run the grid oracle and a
-    polish ascent from its argmax, and the best-scoring candidate wins.
+    seeded uniform draws.  Binary problems also run the grid oracle, and
+    the quadratic rule under a linear map the exact oracle; the ascent from
+    the oracle's argmax joins the starts, all of which advance together as
+    one batch of rows, and the best-scoring candidate wins.
     Non-convergence is reported through ``converged``, never raised; only
-    the wall-clock budget raises ``SolveTimeoutError``.
+    the wall-clock budget raises ``SolveTimeoutError``, carrying the best
+    row at that moment.
     """
     cfg = cfg or SolveConfig()
     if rule.n != f.n:
@@ -278,21 +386,24 @@ def performative_optimum(
     deadline = (
         time.monotonic() + cfg.timeout_secs if cfg.timeout_secs else None
     )
-    candidates = []
-    for start in _structured_starts(rule, f.n, cfg, rng):
-        candidates.append(_ascend(rule, f, start, cfg, deadline))
+    starts = _structured_starts(rule, f.n, cfg, rng)
+    oracle = None
     if f.n == 2:
-        grid = grid_optimum_binary(rule, f, cfg.grid_resolution)
-        candidates.append(grid)
-        candidates.append(_ascend(rule, f, grid.report, cfg, deadline))
+        oracle = grid_optimum_binary(rule, f, cfg.grid_resolution)
     elif rule.kind == QUADRATIC and f.kind == "linear":
         # the quadratic objective under a linear map admits an exact
         # support-enumeration oracle; merge it like the binary grid
-        exact = quadratic_linear_exact_optimum(f)
-        candidates.append(exact)
-        candidates.append(_ascend(rule, f, exact.report, cfg, deadline))
-    best = _pick_best(candidates)
-    best = _polish_interior(rule, f, best, cfg)
+        oracle = quadratic_linear_exact_optimum(f)
+    if oracle is not None:
+        starts = np.vstack([starts, oracle.report.probs])
+    problem = _RowProblem(rule, f)
+    candidates = _ascend_rows(
+        problem, starts, cfg.max_iters, cfg.step_size, cfg.tol, deadline
+    ).results()
+    if oracle is not None:
+        # merge order: the starts, the oracle, then the ascent from it
+        candidates.insert(len(candidates) - 1, oracle)
+    best = _polish_interior(problem, _pick_best(candidates), cfg)
     # store the recomputable objective for the winning report
     return SolveResult(
         report=best.report,
@@ -457,10 +568,6 @@ class OnlineTrace:
 
     def report_points(self):
         return [SimplexPoint(row) for row in self.reports]
-
-
-def constant_schedule(c: float) -> Callable[[int], float]:
-    return lambda t: c
 
 
 def inverse_schedule(c: float) -> Callable[[int], float]:

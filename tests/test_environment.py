@@ -111,7 +111,7 @@ class TestEval:
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("kind", ["affine", "bank_run", "linear", "shrink"])
+    @pytest.mark.parametrize("kind", ["affine", "bank_run", "linear", "shrink", "tabulated"])
     def test_matches_central_differences(self, kind):
         env = make_env(kind, n=4 if kind in ("linear", "shrink") else 2)
         rng = np.random.default_rng(10)

@@ -28,10 +28,12 @@ from perfscore.simplex import (
     SimplexPoint,
     binary_point,
     l2_distance,
+    project_to_simplex,
     sample_simplex_points,
     uniform_point,
 )
 from perfscore.solvers import (
+    MAX_BACKTRACKS,
     SolveConfig,
     constant_policy_trace,
     online_sgd,
@@ -189,12 +191,81 @@ class TestMarket:
         rr = market_equilibrium(game, mode="round-robin")
         assert l2_distance(sync.market_prediction, rr.market_prediction) <= 1e-6
 
+    @pytest.mark.parametrize("N", [2, 10, 50])
+    def test_batched_rounds_match_sequential_reference(self, N):
+        # criterion 10's map; round counts may differ, so they are not compared
+        env = affine_binary(binary_point(0.7), 0.5)
+        game = MarketGame(Q2, env, tuple([1.0 / N] * N))
+        eq = market_equilibrium(game)
+        ref = _reference_market_profile(game)
+        got = np.array([p.probs for p in eq.predictions])
+        assert np.max(np.abs(got - ref)) <= 1e-6
+        assert max(eq.per_player_br_gap) <= 1e-8
+
     def test_weight_validation(self):
         env = affine_binary(binary_point(0.7), 0.5)
         with pytest.raises(InvalidArgumentError):
             MarketGame(Q2, env, (0.6, 0.6))
         with pytest.raises(InvalidArgumentError):
             market_equilibrium(MarketGame(Q2, env, (1.0,)), mode="chaotic")
+
+
+# -- sequential reference ------------------------------------------------------
+# The per-trader best-response loop on validated objects that the batched
+# rounds replaced, kept as their reference.
+
+
+def _ref_player_gradient(game, idx, own, rest):
+    rule, f = game.rule, game.f
+    w = game.weights[idx]
+    hat = SimplexPoint(rest + w * own)
+    q = f.eval(hat).probs
+    p = SimplexPoint(own)
+    v = rule.hessian(p).T @ (q - own) + w * (f.jacobian(hat).T @ rule.subgradient(p).comps)
+    return v - v.mean()
+
+
+def _ref_player_objective(game, idx, own, rest):
+    hat = SimplexPoint(rest + game.weights[idx] * own)
+    return game.rule.expected_score(SimplexPoint(own), game.f.eval(hat))
+
+
+def _ref_best_response(game, idx, own, rest, max_iters=200, tol=1e-10):
+    p = own.copy()
+    phi = _ref_player_objective(game, idx, p, rest)
+    for _ in range(max_iters):
+        grad = _ref_player_gradient(game, idx, p, rest)
+        if np.linalg.norm(grad) <= tol:
+            break
+        step = 0.5
+        accepted = None
+        for _ in range(MAX_BACKTRACKS + 1):
+            cand = project_to_simplex(p + step * grad).probs
+            cand_phi = _ref_player_objective(game, idx, cand, rest)
+            if cand_phi > phi:
+                accepted = (cand, cand_phi)
+                break
+            step *= 0.5
+        if accepted is None:
+            break
+        p, phi = accepted
+    return p
+
+
+def _reference_market_profile(game, max_rounds=500, tol=1e-10):
+    """Synchronous iterated best response, one trader at a time."""
+    w = np.asarray(game.weights)
+    profile = np.tile(uniform_point(game.f.n).probs, (game.n_players, 1))
+    for _ in range(max_rounds):
+        updates = np.empty_like(profile)
+        for i in range(game.n_players):
+            rest = (w[:, None] * profile).sum(axis=0) - w[i] * profile[i]
+            updates[i] = _ref_best_response(game, i, profile[i], rest)
+        moved = float(np.max(np.linalg.norm(updates - profile, axis=1)))
+        profile = updates
+        if moved <= tol:
+            return profile
+    raise AssertionError("reference market did not converge")
 
 
 class TestRegret:

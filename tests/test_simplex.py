@@ -11,8 +11,11 @@ from perfscore.simplex import (
     TangentVector,
     binary_point,
     centering_projector,
+    checked_rows,
     l2_distance,
     logit_distance,
+    project_raw,
+    project_rows,
     project_to_shrunk_simplex,
     project_to_simplex,
     sample_simplex_points,
@@ -104,6 +107,25 @@ class TestProjection:
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidArgumentError):
             project_to_simplex([np.inf, 0.0])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_row_projection_equals_one_dimensional(self, n):
+        # same arithmetic row by row, so equal bit for bit; the 1e17 scale
+        # reaches the collapsed-support branch
+        rng = np.random.default_rng(n)
+        scale = rng.choice([1e-3, 1.0, 100.0, 1e17], size=(500, 1))
+        V = rng.normal(size=(500, n)) * scale
+        expected = np.array([project_raw(v) for v in V])
+        assert np.array_equal(project_rows(V), expected)
+
+    def test_checked_rows_mirror_the_constructor(self):
+        V = np.array([[0.2, 0.3, 0.5], [1.0 + 5e-13, -5e-13, 0.0]])
+        expected = np.array([SimplexPoint(v).probs for v in V])
+        assert np.array_equal(checked_rows(V), expected)
+        for bad in ([0.5, 0.4, 0.0], [-0.1, 1.1, 0.0], [np.nan, 1.0, 0.0],
+                    [np.inf, -np.inf, 1.0]):
+            with pytest.raises(InvalidArgumentError):
+                checked_rows(np.array([[0.2, 0.3, 0.5], bad]))
 
     def test_shrunk_projection(self):
         out = project_to_shrunk_simplex([1.5, -0.5], 0.1)

@@ -7,10 +7,12 @@ from perfscore.environment import (
     affine_binary,
     bank_run,
     linear,
+    ramp_binary,
     random_linear,
     shrink_to,
+    tabulated,
 )
-from perfscore.errors import InvalidArgumentError, SolveTimeoutError
+from perfscore.errors import DomainError, InvalidArgumentError, SolveTimeoutError
 from perfscore.scoring import (
     exponential_binary_rule,
     logarithmic_rule,
@@ -18,14 +20,22 @@ from perfscore.scoring import (
 )
 from perfscore.simplex import (
     SimplexPoint,
+    TangentVector,
     binary_point,
     l2_distance,
+    project_to_simplex,
     sample_simplex_points,
     tangent_project,
     uniform_point,
 )
 from perfscore.solvers import (
+    LOG_INTERIOR_NUDGE,
+    MAX_BACKTRACKS,
     SolveConfig,
+    SolveResult,
+    _ascend_rows,
+    _pick_best,
+    _RowProblem,
     constant_policy_trace,
     grid_optimum_binary,
     inverse_schedule,
@@ -229,7 +239,21 @@ class TestPerformativeOptimum:
         env = random_linear(5, np.random.default_rng(34))
         with pytest.raises(SolveTimeoutError) as err:
             performative_optimum(q, env, SolveConfig(timeout_secs=1e-9))
-        assert err.value.best is not None
+        best = err.value.best
+        assert best is not None
+        assert best.objective == q.expected_score(best.report, env.eval(best.report))
+
+    @pytest.mark.parametrize(
+        "rule",
+        [quadratic_rule(2), logarithmic_rule(2), exponential_binary_rule(3.0)],
+        ids=str,
+    )
+    def test_tabulated_map_reaches_grid_optimum(self, rule):
+        # knots include both vertices, where the map has no two-sided slope
+        env = tabulated(np.linspace(0.0, 1.0, 5), [0.3, 0.8, 0.15, 0.6, 0.9])
+        res = performative_optimum(rule, env, SolveConfig(grid_resolution=1e-6))
+        grid = grid_optimum_binary(rule, env, 1e-6)
+        assert res.objective >= grid.objective - 2e-7 * max(1.0, abs(grid.objective))
 
 
 class TestExactQuadraticLinearOracle:
@@ -410,3 +434,162 @@ class TestNonFixedPointUbiquity:
             if l2_distance(env.eval(res.report), res.report) > 1e-6:
                 hits += 1
         assert hits >= int(0.99 * total)
+
+
+# -- sequential reference ------------------------------------------------------
+# The one-start-at-a-time ascent on validated objects that the batched row
+# kernel replaced, kept as the reference the kernel must reproduce.
+
+
+def _ref_gradient(rule, f, p):
+    q = f.eval(p)
+    v = rule.hessian(p).T @ (q.probs - p.probs) + f.jacobian(p).T @ rule.subgradient(p).comps
+    return TangentVector(v - v.mean())
+
+
+def _ref_objective(rule, f, p):
+    return rule.expected_score(p, f.eval(p))
+
+
+def _ref_ascend(rule, f, start, cfg):
+    p = start
+    phi = _ref_objective(rule, f, p)
+    gn = float("nan")
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        try:
+            grad = _ref_gradient(rule, f, p)
+        except DomainError:
+            break
+        gn = grad.norm
+        if gn <= cfg.tol:
+            converged = True
+            break
+        step = cfg.step_size
+        accepted = None
+        for _ in range(MAX_BACKTRACKS + 1):
+            cand = project_to_simplex(p.probs + step * grad.comps)
+            cand_phi = _ref_objective(rule, f, cand)
+            if cand_phi > phi:
+                accepted = (cand, cand_phi)
+                break
+            step *= 0.5
+        if accepted is None:
+            converged = True
+            break
+        moved = np.linalg.norm(accepted[0].probs - p.probs)
+        p, phi = accepted
+        if moved <= cfg.tol:
+            converged = True
+            break
+    return SolveResult(p, phi, converged, it, gn)
+
+
+def _ref_polish(rule, f, res, cfg):
+    p = res.report
+    if not p.is_interior(1e-9):
+        return res
+    gn = _ref_gradient(rule, f, p).norm
+    phi = _ref_objective(rule, f, p)
+    slack = 1e-9 * max(1.0, abs(phi))
+    it = res.iterations
+    for _ in range(200):
+        if gn <= cfg.tol:
+            break
+        grad = _ref_gradient(rule, f, p)
+        step = cfg.step_size
+        accepted = None
+        for _ in range(MAX_BACKTRACKS + 1):
+            cand = project_to_simplex(p.probs + step * grad.comps)
+            try:
+                cand_gn = _ref_gradient(rule, f, cand).norm
+            except DomainError:
+                cand_gn = float("inf")
+            if cand_gn < gn and _ref_objective(rule, f, cand) >= phi - slack:
+                accepted = (cand, cand_gn)
+                break
+            step *= 0.5
+        if accepted is None:
+            break
+        p, gn = accepted
+        phi = _ref_objective(rule, f, p)
+        it += 1
+    return SolveResult(p, phi, res.converged or gn <= cfg.tol, it, gn)
+
+
+def _ref_starts(rule, n, cfg, rng):
+    starts = [uniform_point(n)]
+    nudge = LOG_INTERIOR_NUDGE
+    for i in range(n):
+        v = np.full(n, nudge / n)
+        v[i] = 1.0 - nudge + nudge / n
+        starts.append(SimplexPoint(v / v.sum()))
+    for i in range(n):
+        v = np.full(n, 1.0 / (n - 1.0))
+        v[i] = 0.0
+        if rule.kind == "logarithmic":
+            v = (1.0 - nudge) * v + nudge / n
+        starts.append(SimplexPoint(v / v.sum()))
+    for row in sample_simplex_points(n, max(cfg.restarts - len(starts), 0), rng):
+        starts.append(SimplexPoint(row))
+    return starts[: cfg.restarts]
+
+
+def reference_optimum(rule, f, cfg):
+    """(final result, start points, per-start results) of the sequential solver."""
+    starts = _ref_starts(rule, f.n, cfg, np.random.default_rng(cfg.seed))
+    oracle = None
+    if f.n == 2:
+        oracle = grid_optimum_binary(rule, f, cfg.grid_resolution)
+    elif rule.kind == "quadratic" and f.kind == "linear":
+        oracle = quadratic_linear_exact_optimum(f)
+    if oracle is not None:
+        starts.append(oracle.report)
+    rows = [_ref_ascend(rule, f, s, cfg) for s in starts]
+    candidates = rows[:-1] + [oracle, rows[-1]] if oracle is not None else rows
+    best = _ref_polish(rule, f, _pick_best(candidates), cfg)
+    return best, starts, rows
+
+
+def _reference_cases():
+    maps = {
+        "linear3": random_linear(3, np.random.default_rng(61)),
+        "linear5": random_linear(5, np.random.default_rng(62)),
+        "affine": affine_binary(binary_point(0.7), 0.5),
+        "affine-neg": affine_binary(binary_point(0.45), -0.6),
+        "bank-run": bank_run(),
+        "ramp": ramp_binary(0.1, 0.05),
+        "tabulated": tabulated(np.linspace(0.0, 1.0, 5), [0.3, 0.8, 0.15, 0.6, 0.9]),
+        "shrink2": shrink_to(binary_point(0.3), 0.5),
+        "shrink4": shrink_to(SimplexPoint([0.1, 0.2, 0.3, 0.4]), 0.4),
+    }
+    for name, env in maps.items():
+        rules = [quadratic_rule(env.n), logarithmic_rule(env.n)]
+        if env.n == 2:
+            rules.append(exponential_binary_rule(3.0))
+        for rule in rules:
+            yield pytest.param(rule, env, id=f"{rule}-{name}")
+
+
+class TestBatchedAscentMatchesSequentialReference:
+    # float64 rounding on a flat optimum, fixed before the batched kernel:
+    # objectives agree to 1e-12 relative, reports to 1e-6
+    @pytest.mark.parametrize("rule, env", _reference_cases())
+    def test_final_and_converged_rows_agree(self, rule, env):
+        cfg = SolveConfig(seed=7)
+        ref, starts, ref_rows = reference_optimum(rule, env, cfg)
+        got = performative_optimum(rule, env, cfg)
+        scale = max(1.0, abs(ref.objective))
+        assert abs(got.objective - _ref_objective(rule, env, ref.report)) <= 1e-12 * scale
+        assert np.max(np.abs(got.report.probs - ref.report.probs)) <= 1e-6
+
+        rows = _ascend_rows(
+            _RowProblem(rule, env), np.array([s.probs for s in starts]),
+            cfg.max_iters, cfg.step_size, cfg.tol,
+        ).results()
+        both = [(a, b) for a, b in zip(rows, ref_rows) if a.converged and b.converged]
+        assert both
+        for a, b in both:
+            assert abs(a.objective - b.objective) <= 1e-12 * max(1.0, abs(b.objective))
+            assert np.max(np.abs(a.report.probs - b.report.probs)) <= 1e-6
