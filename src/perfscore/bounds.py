@@ -29,6 +29,7 @@ from .environment import EnvironmentMap
 from .errors import DomainError, InvalidArgumentError
 from .scoring import (
     EXPONENTIAL_BINARY,
+    MIN_EXPONENT,
     ScoringRule,
     exponential_binary_rule,
 )
@@ -36,7 +37,6 @@ from .simplex import SimplexPoint, binary_point, tangent_operator_norm
 
 INACCURACY = "inaccuracy"
 FIXED_POINT_DISTANCE = "fixed_point_distance"
-MIN_EXPONENT = 1e-6
 
 
 @dataclass
@@ -105,10 +105,7 @@ def fixed_point_distance_bound(
             "distance-to-fixed-point bound requires L_f < 1; for L_f -> 1 the "
             "worst case approaches the simplex diameter sqrt(2)"
         )
-    gamma_p = rule.gamma_at(p)
-    g_norm = rule.subgradient_norm(p)
-    df_norm = tangent_operator_norm(f.jacobian(p))
-    return g_norm * df_norm / ((1.0 - L_f) * gamma_p)
+    return inaccuracy_bound(rule, f, p, L_f=L_f).fixed_point_distance_bound
 
 
 def log_binary_bound(L_f: float) -> tuple:

@@ -163,7 +163,7 @@ def _run(args) -> int:
             pstars = np.arange(0.0, 1.0 + 0.5 * args.pstar_step, args.pstar_step)
             records = harness.binary_sweep(rule, alphas, pstars, args.resolution)
             _freeze_runtime(records, args.volatile_runtime)
-            _write(harness.emit(records, args.format, None), args.out)
+            _write(harness.emit(records, args.format), args.out)
         else:
             rows = harness.max_curves(rule, alphas, args.pstar_step, args.resolution)
             if args.format == "csv":
@@ -179,7 +179,7 @@ def _run(args) -> int:
         )
         _freeze_runtime(records, args.volatile_runtime)
         if args.format == "csv":
-            _write(harness.emit(records, "csv", None), args.out)
+            _write(harness.emit(records, "csv"), args.out)
         else:
             payload = {"records": records, "summary": summary}
             _write(harness.to_json(payload), args.out)

@@ -45,8 +45,9 @@ from .simplex import (
     vertex,
 )
 from .solvers import (
-    OBJECTIVE_TIE_TOL,
     SolveConfig,
+    _binary_grid,
+    _first_argmax,
     grid_optimum_binary,
     performative_optimum,
 )
@@ -137,33 +138,6 @@ class ExperimentSummary:
     n_timeout: int
 
 
-def _binary_sweep_tables(rule: ScoringRule, alpha: float, xs: np.ndarray):
-    """phi(x; s) = base(x) + s (1 - alpha) coef(x) for affine binary maps.
-
-    Exploits that the affine map's intercept enters the expected score
-    linearly, so a whole fixed-point sweep costs one fused multiply-add
-    per grid point.  Algebraically identical to
-    rule.binary_objective_grid(x, s + alpha (x - s)).
-    """
-    if rule.kind == QUADRATIC:
-        base = (
-            2.0 * (1.0 - xs)
-            - (xs * xs + (1.0 - xs) ** 2)
-            + 2.0 * alpha * xs * (2.0 * xs - 1.0)
-        )
-        coef = 2.0 * (2.0 * xs - 1.0)
-    elif rule.kind == LOGARITHMIC:
-        L0 = np.log1p(-xs)
-        L1 = np.log(xs) - L0
-        base = L0 + alpha * xs * L1
-        coef = L1
-    else:
-        e = np.exp(rule.K * xs)
-        base = e * (2.0 / rule.K + 2.0 * (alpha - 1.0) * xs)
-        coef = 2.0 * e
-    return base, coef
-
-
 def _global_binary_bound_rate(rule: ScoringRule) -> float:
     """Global inaccuracy bound per unit of Lipschitz constant, binary case."""
     if rule.kind == QUADRATIC:
@@ -203,19 +177,19 @@ def binary_sweep(
     pstar_grid = np.asarray(pstar_grid, dtype=float)
     if np.any(alpha_grid < 0.0) or np.any(alpha_grid > 1.0):
         raise InvalidArgumentError("sweep slopes must lie in [0, 1]")
-    count = int(round(1.0 / resolution)) + 1
-    xs = np.linspace(0.0, 1.0, count)
-    if rule.kind == LOGARITHMIC:
-        xs = xs[(xs >= resolution) & (xs <= 1.0 - resolution)]
+    xs = _binary_grid(rule, resolution)
+    # S is affine in the belief: phi(x) = T0(x) + f1(x) D(x) with
+    # f1(x) = alpha x + s (1 - alpha), so each slope needs one table and
+    # each fixed point one fused multiply-add per grid point
+    T0 = rule.binary_objective_grid(xs, 0.0)
+    D = rule.binary_objective_grid(xs, 1.0) - T0
     records = []
     bound_rate = _global_binary_bound_rate(rule)
     for alpha in alpha_grid:
-        base, coef = _binary_sweep_tables(rule, alpha, xs)
+        base = T0 + (alpha * xs) * D
         for s in pstar_grid:
             t0 = time.perf_counter()
-            phi = base + (s * (1.0 - alpha)) * coef
-            top = float(np.max(phi))
-            idx = int(np.flatnonzero(phi >= top - OBJECTIVE_TIE_TOL)[0])
+            idx = _first_argmax(base + (s * (1.0 - alpha)) * D)
             x = float(xs[idx])
             fx = s + alpha * (x - s)
             inaccuracy = math.sqrt(2.0) * abs(fx - x)
@@ -567,30 +541,35 @@ def max_curves_to_csv(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Encoder(json.JSONEncoder):
-    def default(self, o):
-        if dataclasses.is_dataclass(o) and not isinstance(o, type):
-            return dataclasses.asdict(o)
-        if isinstance(o, SimplexPoint):
-            return [float(v) for v in o.probs]
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        return super().default(o)
+def _plain(o):
+    """``o`` as builtin JSON values, with None for NaN and +-inf."""
+    if dataclasses.is_dataclass(o) and not isinstance(o, type):
+        o = dataclasses.asdict(o)
+    elif isinstance(o, SimplexPoint):
+        o = o.probs
+    if isinstance(o, np.ndarray):
+        o = o.tolist()
+    elif isinstance(o, (np.floating, np.integer)):
+        o = o.item()
+    if isinstance(o, dict):
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_plain(v) for v in o]
+    if isinstance(o, float) and not math.isfinite(o):
+        return None
+    return o
 
 
 def to_json(payload) -> str:
-    """Deterministic JSON with full float round-trip fidelity."""
-    return json.dumps(payload, cls=_Encoder, indent=2, sort_keys=True) + "\n"
+    """Deterministic strict JSON with full float round-trip fidelity.
 
-
-def emit(payload, fmt: str, path: Optional[str]) -> str:
-    """Serialize records/stats to csv or json, writing to ``path`` if given.
-
-    Returns the rendered text.  I/O failures surface as OSError for the
-    CLI to map onto its exit code.
+    Non-finite floats are written as ``null``.
     """
+    return json.dumps(_plain(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def emit(payload, fmt: str) -> str:
+    """Render records/stats as csv or json text."""
     if fmt == "csv":
         if isinstance(payload, list) and payload and isinstance(payload[0], ExperimentRecord):
             text = records_to_csv(payload)
@@ -604,7 +583,4 @@ def emit(payload, fmt: str, path: Optional[str]) -> str:
         text = to_json(payload)
     else:
         raise InvalidArgumentError(f"unknown format {fmt!r}")
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
     return text

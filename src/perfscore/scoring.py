@@ -12,11 +12,23 @@ Three strictly proper families are shipped:
 * logarithmic     S(p, i) = log p_i                   (any n)
 * exponential     binary rule with G(p) = (2/K) e^{K p1}, K > 0
 
+Each family's formula is written once, in the row kernels on bare (R, n)
+arrays: ``_objective_rows`` gives S(P_r, Q_r), ``_belief_gradient_rows``
+gives Dg(P_r)^T (Q_r - P_r) and ``_subgradient_rows`` gives g(P_r).  S is
+affine in the belief q, so every other form is a call of these:
+``expected_score`` is one row of the objective, ``potential`` the
+objective at q = p, ``score`` and ``score_rows`` the objective against
+one-hot beliefs, and ``subgradient`` one row of g; the public scalar
+methods validate their points first.  ``binary_objective_grid`` stays a
+fused elementwise formula: the binary grid oracle evaluates it at 1e6
+points, where ``_objective_rows`` on the same points ran 1.9x (quadratic,
+log) to 5.5x (exponential) slower on one thread of a 2-CPU Xeon VM.  The
+Hessian and the curvature constants are closed forms per family.
+
 Subgradients are always centered into the tangent space, which minimizes
 ||g(p)|| and makes the accuracy-bound formulas unambiguous.  Minus-infinity
 scores (log rule at the boundary) are IEEE -inf, never NaN; expectations
-use the convention 0 * (-inf) = 0, implemented once in
-``convex_combination_of_scores``.
+use the convention 0 * (-inf) = 0, implemented once in ``_objective_rows``.
 """
 
 from __future__ import annotations
@@ -46,16 +58,6 @@ MAX_EXPONENT = 700.0
 MIN_EXPONENT = 1e-6
 
 
-def convex_combination_of_scores(weights: np.ndarray, scores: np.ndarray) -> float:
-    """sum_i w_i * s_i with the convention 0 * (-inf) = 0."""
-    w = np.asarray(weights, dtype=float)
-    s = np.asarray(scores, dtype=float)
-    live = w > 0.0
-    if np.any(np.isneginf(s[live])):
-        return float("-inf")
-    return float(np.dot(w[live], s[live]))
-
-
 @dataclass(frozen=True)
 class ScoringRule:
     """A strictly proper scoring rule descriptor.
@@ -82,6 +84,7 @@ class ScoringRule:
                 )
 
     # -- pointwise scores ------------------------------------------------
+    # Validated one-row calls of the row kernels below.
 
     def score(self, p: SimplexPoint, outcome: int) -> float:
         """Score received for reporting p when outcome ``outcome`` occurs."""
@@ -90,44 +93,22 @@ class ScoringRule:
             raise InvalidArgumentError(
                 f"outcome {outcome} out of range for n={self.n}"
             )
-        v = p.probs
-        if self.kind == QUADRATIC:
-            return float(2.0 * v[outcome] - v @ v)
-        if self.kind == LOGARITHMIC:
-            return math.log(v[outcome]) if v[outcome] > 0.0 else float("-inf")
-        e = math.exp(self.K * v[0])
-        g = np.array([e, -e])
-        ei = np.zeros(self.n)
-        ei[outcome] = 1.0
-        return float(2.0 * e / self.K + g @ (ei - v))
+        return float(self.score_rows(p.probs[None, :], [outcome])[0])
 
     def expected_score(self, p: SimplexPoint, q: SimplexPoint) -> float:
         """S(p, q) = E_{i~q} S(p, i)."""
         self._check_point(p)
         if q.n != self.n:
             raise InvalidArgumentError(f"dimension mismatch: {q.n} vs n={self.n}")
-        v = p.probs
-        if self.kind == QUADRATIC:
-            return float(2.0 * v @ q.probs - v @ v)
-        if self.kind == LOGARITHMIC:
-            with np.errstate(divide="ignore"):
-                logs = np.log(v)
-            return convex_combination_of_scores(q.probs, logs)
-        e = math.exp(self.K * v[0])
-        return float(2.0 * e / self.K + e * (q[0] - v[0]) - e * (q[1] - v[1]))
+        return float(self._objective_rows(p.probs[None, :], q.probs[None, :])[0])
 
     # -- potential form --------------------------------------------------
 
     def potential(self, p: SimplexPoint) -> float:
         """The convex potential G(p) = S(p, p)."""
         self._check_point(p)
-        v = p.probs
-        if self.kind == QUADRATIC:
-            return float(v @ v)
-        if self.kind == LOGARITHMIC:
-            live = v > 0.0
-            return float(np.dot(v[live], np.log(v[live])))
-        return float(2.0 / self.K * math.exp(self.K * v[0]))
+        P = p.probs[None, :]
+        return float(self._objective_rows(P, P)[0])
 
     def subgradient(self, p: SimplexPoint) -> TangentVector:
         """Tangent-normalized subgradient g(p) of G.
@@ -136,16 +117,10 @@ class ScoringRule:
         ``DomainError`` is raised rather than returning infinite entries.
         """
         self._check_point(p)
-        v = p.probs
-        if self.kind == QUADRATIC:
-            return TangentVector(2.0 * v - 2.0 / self.n)
-        if self.kind == LOGARITHMIC:
-            if not p.is_interior():
-                raise DomainError("log-rule subgradient is unbounded at the boundary")
-            logs = np.log(v)
-            return TangentVector(logs - logs.mean())
-        e = math.exp(self.K * v[0])
-        return TangentVector(np.array([e, -e]))
+        P = p.probs[None, :]
+        if not self._defined_rows(P)[0]:
+            raise DomainError("log-rule subgradient is unbounded at the boundary")
+        return TangentVector(self._subgradient_rows(P)[0])
 
     def hessian(self, p: SimplexPoint) -> np.ndarray:
         """An R^(n,n) representation of the Hessian Dg(p).
@@ -232,23 +207,14 @@ class ScoringRule:
         """Vectorized S(P_t, Y_t) over aligned arrays of reports and outcomes."""
         P = np.asarray(P, dtype=float)
         Y = np.asarray(Y, dtype=np.int64)
-        rows = np.arange(P.shape[0])
-        if self.kind == QUADRATIC:
-            return 2.0 * P[rows, Y] - np.einsum("ij,ij->i", P, P)
-        if self.kind == LOGARITHMIC:
-            with np.errstate(divide="ignore"):
-                return np.log(P[rows, Y])
-        e = np.exp(self.K * P[:, 0])
-        d0 = (Y == 0).astype(float) - P[:, 0]
-        d1 = (Y == 1).astype(float) - P[:, 1]
-        return 2.0 * e / self.K + e * (d0 - d1)
+        return self._objective_rows(P, np.eye(self.n)[Y])
 
     # -- row kernels ---------------------------------------------------------
     # Bare (R, n) arrays of reports P and beliefs Q, one pair per row, no
     # validation: the solvers' batched ascent checks its iterates itself.
 
     def _objective_rows(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """S(P_r, Q_r) for every row r (``expected_score`` row by row)."""
+        """S(P_r, Q_r) = G(P_r) + g(P_r)^T (Q_r - P_r) for every row r."""
         if self.kind == QUADRATIC:
             return np.einsum("ij,ij->i", 2.0 * P, Q) - np.einsum("ij,ij->i", P, P)
         if self.kind == LOGARITHMIC:
@@ -259,26 +225,38 @@ class ScoringRule:
         e = np.exp(self.K * P[:, 0])
         return 2.0 * e / self.K + e * (Q[:, 0] - P[:, 0]) - e * (Q[:, 1] - P[:, 1])
 
-    def _ascent_rows(self, P: np.ndarray, Q: np.ndarray):
-        """(Dg(P)^T (Q - P), g(P)) row by row: the rule's two gradient terms.
+    def _belief_gradient_rows(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """Dg(P_r)^T (Q_r - P_r) for every row r, not centred.
 
-        The log rule's rows must be interior.
+        The gradient in the report of S(p, q) at a frozen belief q; the log
+        rule's rows must be interior.
         """
         D = Q - P
         if self.kind == QUADRATIC:
-            return 2.0 * D, 2.0 * P - 2.0 / self.n
+            return 2.0 * D
         if self.kind == LOGARITHMIC:
-            inv = 1.0 / P
+            # equals the Hessian form (D - sum(D)/n) / P on the simplex
+            return D / P
+        Ke = self.K * np.exp(self.K * P[:, 0])
+        out = np.zeros_like(P)
+        out[:, 0] = Ke * D[:, 0] - Ke * D[:, 1]
+        return out
+
+    def _subgradient_rows(self, P: np.ndarray) -> np.ndarray:
+        """g(P_r) for every row r; the log rule's rows must be interior."""
+        if self.kind == QUADRATIC:
+            return 2.0 * P - 2.0 / self.n
+        if self.kind == LOGARITHMIC:
             logs = np.log(P)
-            return (
-                inv * (D - D.sum(axis=1, keepdims=True) / self.n),
-                logs - logs.mean(axis=1, keepdims=True),
-            )
+            return logs - logs.mean(axis=1, keepdims=True)
         e = np.exp(self.K * P[:, 0])
-        Ke = self.K * e
-        first = np.zeros_like(P)
-        first[:, 0] = Ke * D[:, 0] - Ke * D[:, 1]
-        return first, np.column_stack([e, -e])
+        return np.column_stack([e, -e])
+
+    def _defined_rows(self, P: np.ndarray) -> np.ndarray:
+        """Rows where g and Dg are finite: the log rule needs interior reports."""
+        if self.kind == LOGARITHMIC:
+            return (P > 0.0).all(axis=1)
+        return np.ones(P.shape[0], dtype=bool)
 
     # -- internals ---------------------------------------------------------
 

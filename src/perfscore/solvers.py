@@ -105,19 +105,13 @@ class _RowProblem:
     def gradient(self, P, idx):
         """Tangent gradients Dg(P)^T (f(H) - P) + w Df(H)^T g(P), H = rest + w P."""
         H, Q = self._induced(P, idx)
-        D, G = self.rule._ascent_rows(P, Q)
-        J = self.f._jacobian_t_rows(H, G)
+        D = self.rule._belief_gradient_rows(P, Q)
+        J = self.f._jacobian_t_rows(H, self.rule._subgradient_rows(P))
         V = D + (J if self.weight is None else self.weight[idx, None] * J)
         V -= V.mean(axis=1, keepdims=True)
         if not np.isfinite(V).all():
             raise InvalidArgumentError(f"gradient comps must be finite, got {V}")
         return V
-
-    def defined(self, P):
-        """Rows where the gradient exists: the log rule needs interior reports."""
-        if self.rule.kind == LOGARITHMIC:
-            return (P > 0.0).all(axis=1)
-        return np.ones(P.shape[0], dtype=bool)
 
 
 def _row_norms(V):
@@ -131,16 +125,19 @@ def performative_gradient(
     rule._check_point(p)
     f._check_point(p)
     P = p.probs[None, :]
-    problem = _RowProblem(rule, f)
-    if not problem.defined(P)[0]:
+    if not rule._defined_rows(P)[0]:
         raise DomainError("log-rule gradient is unbounded at the boundary")
-    return TangentVector(problem.gradient(P, None)[0])
+    return TangentVector(_RowProblem(rule, f).gradient(P, None)[0])
 
 
 def stop_gradient(rule: ScoringRule, f: EnvironmentMap, p: SimplexPoint) -> TangentVector:
     """Tangent gradient of the frozen-belief objective: Dg(p)^T (f(p) - p)."""
+    rule._check_point(p)
     q = f.eval(p)
-    v = rule.hessian(p).T @ (q.probs - p.probs)
+    P = p.probs[None, :]
+    if not rule._defined_rows(P)[0]:
+        raise DomainError("log-rule gradient is unbounded at the boundary")
+    v = rule._belief_gradient_rows(P, q.probs[None, :])[0]
     return TangentVector(v - v.mean())
 
 
@@ -226,7 +223,7 @@ def _ascend_rows(
                 best=best,
             )
         rows.iterations[live] = it
-        live = live[problem.defined(rows.P[live])]
+        live = live[problem.rule._defined_rows(rows.P[live])]
         if live.size == 0:
             break
         X = rows.P[live]
@@ -291,7 +288,7 @@ def _polish_interior(problem: _RowProblem, res: SolveResult, cfg: SolveConfig) -
         accepted = None
         for _ in range(MAX_BACKTRACKS + 1):
             cand = checked_rows(project_rows(X + step * G))
-            if problem.defined(cand)[0]:
+            if problem.rule._defined_rows(cand)[0]:
                 cand_G = problem.gradient(cand, None)
                 cand_gn = float(_row_norms(cand_G)[0])
             else:
@@ -335,6 +332,21 @@ def _structured_starts(rule, n, cfg, rng) -> np.ndarray:
     return checked_rows(np.array(starts))
 
 
+def _binary_grid(rule: ScoringRule, resolution: float) -> np.ndarray:
+    """The binary oracle's p1 grid; the log rule's is clipped to
+    [resolution, 1 - resolution] to keep scores finite."""
+    xs = np.linspace(0.0, 1.0, int(round(1.0 / resolution)) + 1)
+    if rule.kind == LOGARITHMIC:
+        xs = xs[(xs >= resolution) & (xs <= 1.0 - resolution)]
+    return xs
+
+
+def _first_argmax(phi: np.ndarray) -> int:
+    """Index of the first value within OBJECTIVE_TIE_TOL of the maximum."""
+    top = float(np.max(phi))
+    return int(np.flatnonzero(phi >= top - OBJECTIVE_TIE_TOL)[0])
+
+
 def grid_optimum_binary(
     rule: ScoringRule, f: EnvironmentMap, resolution: float
 ) -> SolveResult:
@@ -348,16 +360,11 @@ def grid_optimum_binary(
         raise InvalidArgumentError("the grid oracle is binary only")
     if not 0 < resolution <= 1e-3:
         raise InvalidArgumentError("resolution must be in (0, 1e-3]")
-    count = int(round(1.0 / resolution)) + 1
-    xs = np.linspace(0.0, 1.0, count)
-    if rule.kind == LOGARITHMIC:
-        xs = xs[(xs >= resolution) & (xs <= 1.0 - resolution)]
+    xs = _binary_grid(rule, resolution)
     phi = rule.binary_objective_grid(xs, f.eval1(xs))
-    top = float(np.max(phi))
-    idx = int(np.flatnonzero(phi >= top - OBJECTIVE_TIE_TOL)[0])
-    report = binary_point(float(xs[idx]))
+    idx = _first_argmax(phi)
     return SolveResult(
-        report=report,
+        report=binary_point(float(xs[idx])),
         objective=float(phi[idx]),
         converged=True,
         iterations=xs.size,
@@ -575,36 +582,6 @@ def inverse_schedule(c: float) -> Callable[[int], float]:
     return lambda t: c / t
 
 
-def _score_raw(rule: ScoringRule, v: np.ndarray, y: int) -> float:
-    if rule.kind == QUADRATIC:
-        return float(2.0 * v[y] - v @ v)
-    if rule.kind == LOGARITHMIC:
-        return float(np.log(v[y])) if v[y] > 0.0 else float("-inf")
-    e = float(np.exp(rule.K * v[0]))
-    d0 = (1.0 if y == 0 else 0.0) - v[0]
-    d1 = (1.0 if y == 1 else 0.0) - v[1]
-    return 2.0 * e / rule.K + e * (d0 - d1)
-
-
-def _single_outcome_gradient(rule: ScoringRule, v: np.ndarray, y: int) -> np.ndarray:
-    """Tangent gradient of p -> S(p, e_y), i.e. Dg(p)^T (e_y - p)."""
-    n = v.size
-    if rule.kind == QUADRATIC:
-        g = -2.0 * v
-        g[y] += 2.0
-        return g - g.mean()
-    if rule.kind == LOGARITHMIC:
-        g = np.zeros(n)
-        g[y] = 1.0 / v[y]
-        return g - g.mean()
-    e = np.exp(rule.K * v[0])
-    ey = np.zeros(n)
-    ey[y] = 1.0
-    d = ey - v
-    g = np.array([rule.K * e * d[0], -rule.K * e * d[0]])
-    return g - g.mean()
-
-
 def online_sgd(
     rule: ScoringRule,
     f: EnvironmentMap,
@@ -629,24 +606,25 @@ def online_sgd(
     scale = 1.0 - n * margin
     reports = np.empty((T + 1, n))
     outcomes = np.empty(T, dtype=np.int64)
-    scores = np.empty(T)
     uniforms = rng.random(T)
+    onehot = np.eye(n)
     v = p0.probs.copy()
     reports[0] = v
     for t in range(1, T + 1):
         q = f.eval_raw(v)
         y = min(int(np.searchsorted(np.cumsum(q), uniforms[t - 1])), n - 1)
         outcomes[t - 1] = y
-        scores[t - 1] = _score_raw(rule, v, y)
         alpha = schedule(t)
         if alpha <= 0:
             raise InvalidArgumentError(f"schedule produced alpha_{t} = {alpha}")
-        stepped = v + alpha * _single_outcome_gradient(rule, v, y)
+        g = rule._belief_gradient_rows(v[None, :], onehot[y:y + 1])[0]
+        stepped = v + alpha * (g - g.mean())
         if margin > 0.0:
             v = margin + scale * project_raw((stepped - margin) / scale)
         else:
             v = project_raw(stepped)
         reports[t] = v
+    scores = rule.score_rows(reports[:T], outcomes)
     return OnlineTrace(reports=reports, outcomes=outcomes, scores=scores, seed=seed)
 
 
@@ -656,14 +634,15 @@ def constant_policy_trace(
     """Trace of a policy pinned at p, with outcomes drawn i.i.d. from f(p)."""
     if T < 0:
         raise InvalidArgumentError("T must be >= 0")
+    rule._check_point(p)
     rng = np.random.default_rng(seed)
     q = f.eval(p).probs
     outcomes = rng.choice(f.n, size=T, p=q)
-    per_outcome = np.array([rule.score(p, i) for i in range(f.n)])
+    reports = np.tile(p.probs, (T + 1, 1))
     return OnlineTrace(
-        reports=np.tile(p.probs, (T + 1, 1)),
+        reports=reports,
         outcomes=outcomes,
-        scores=per_outcome[outcomes],
+        scores=rule.score_rows(reports[:T], outcomes),
         seed=seed,
     )
 
@@ -680,18 +659,17 @@ def rga_policy_trace(
     if T < 0:
         raise InvalidArgumentError("T must be >= 0")
     rga = repeated_gradient_ascent(rule, f, p0, step=step, max_iters=T, tol=0.0)
-    path = rga.trajectory
+    path = np.array([p.probs for p in rga.trajectory])
+    # a converged ascent stays at its last report
+    reports = np.vstack([path, np.tile(path[-1], (T + 1 - len(path), 1))])
     rng = np.random.default_rng(seed)
-    n = f.n
-    reports = np.empty((T + 1, n))
-    outcomes = np.empty(T, dtype=np.int64)
-    scores = np.empty(T)
-    for t in range(T):
-        point = path[t] if t < len(path) else path[-1]
-        reports[t] = point.probs
-        q = f.eval(point).probs
-        y = int(min(np.searchsorted(np.cumsum(q), rng.random()), n - 1))
-        outcomes[t] = y
-        scores[t] = rule.score(point, y)
-    reports[T] = (path[T] if T < len(path) else path[-1]).probs
-    return OnlineTrace(reports=reports, outcomes=outcomes, scores=scores, seed=seed)
+    beliefs = np.cumsum(f.eval_rows(reports[:T]), axis=1)
+    # searchsorted's left insertion point: the entries below the uniform
+    drawn = (beliefs < rng.random(T)[:, None]).sum(axis=1)
+    outcomes = np.minimum(drawn, f.n - 1)
+    return OnlineTrace(
+        reports=reports,
+        outcomes=outcomes,
+        scores=rule.score_rows(reports[:T], outcomes),
+        seed=seed,
+    )

@@ -79,6 +79,33 @@ class TestExitCodes:
         assert code == 3
 
 
+def strict_json(raw: bytes):
+    """json.loads that refuses NaN and +-Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(raw, parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_max_curves_at_unit_slope(self, tmp_path):
+        # the distance overlay is infinite and no distance is recorded at alpha = 1
+        data = strict_json(run(tmp_path, "c.json",
+                               ["max-curves", "--alphas", "1.0", "--pstar-step", "1e-3",
+                                "--resolution", "1e-4", "--format", "json"]))
+        assert data[0]["bound_dist"] is None
+        assert data[0]["max_dist_to_fp"] is None
+        assert data[0]["max_inaccuracy"] >= 0.0
+
+    def test_sweep_above_distance_cap(self, tmp_path):
+        data = strict_json(run(tmp_path, "s.json",
+                               ["sweep-binary", "--alphas", "0.97", "--pstar-step", "0.25",
+                                "--resolution", "1e-4", "--format", "json"]))
+        assert len(data) == 5
+        assert all(rec["dist_to_fp"] is None for rec in data)
+        assert all(rec["inaccuracy"] >= 0.0 for rec in data)
+
+
 class TestPayloads:
     def test_design_payload(self, tmp_path):
         data = json.loads(run(tmp_path, "d.json",

@@ -167,6 +167,11 @@ class TestLipschitz:
     def test_ramp(self):
         assert ramp_binary(0.1, 0.01).lipschitz_estimate() == pytest.approx(0.99)
 
+    def test_tabulated_short_steep_segment(self):
+        # the middle segment is 1e-4 wide with slope 0.6 / 1e-4 = 6000
+        env = tabulated([0.0, 0.5, 0.5001, 1.0], [0.2, 0.3, 0.9, 0.95])
+        assert env.lipschitz_estimate() == pytest.approx(6000.0, rel=1e-9)
+
 
 class TestFixedPoints:
     def test_bank_run_three_roots(self):

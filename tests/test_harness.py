@@ -216,11 +216,11 @@ class TestEmission:
         ]
 
     def test_empty_records_header_only(self):
-        text = emit([], "csv", None)
+        text = emit([], "csv")
         assert text == ",".join(CSV_COLUMNS) + "\n"
 
     def test_three_records_four_lines(self):
-        text = emit(self.make_records(3), "csv", None)
+        text = emit(self.make_records(3), "csv")
         assert len(text.strip().split("\n")) == 4
 
     def test_header_column_order(self):
@@ -245,14 +245,9 @@ class TestEmission:
             summary.inaccuracy.mean
         )
 
-    def test_write_to_path(self, tmp_path):
-        path = tmp_path / "out.csv"
-        emit(self.make_records(2), "csv", str(path))
-        assert path.read_text().startswith(",".join(CSV_COLUMNS))
-
     def test_unknown_format_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            emit(self.make_records(1), "tsv", None)
+            emit(self.make_records(1), "tsv")
 
     def test_deterministic_repeated_render(self):
         records = binary_sweep(Q2, [0.3], np.linspace(0, 1, 11), resolution=1e-4)

@@ -7,7 +7,6 @@ from perfscore.errors import DomainError, InvalidArgumentError
 from perfscore.scoring import (
     ScoringRule,
     check_propriety,
-    convex_combination_of_scores,
     exponential_binary_rule,
     logarithmic_rule,
     parse_rule,
@@ -76,9 +75,11 @@ class TestExpectedScore:
         assert lg.expected_score(binary_point(1.0), binary_point(0.5)) == float(
             "-inf"
         )
-        assert convex_combination_of_scores(
-            np.array([0.0, 1.0]), np.array([float("-inf"), 1.0])
-        ) == pytest.approx(1.0)
+        lg3 = logarithmic_rule(3)
+        p = SimplexPoint([0.0, 0.5, 0.5])
+        assert lg3.expected_score(p, SimplexPoint([0.0, 0.25, 0.75])) == pytest.approx(
+            math.log(0.5)
+        )
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidArgumentError):
@@ -254,16 +255,34 @@ class TestRuleParsing:
             exponential_binary_rule(0.0)
 
 
+def closed_form_score(rule, p, i):
+    """S(p, e_i) written out per family, independent of the rule's kernels."""
+    if rule.kind == "quadratic":
+        return 2.0 * p[i] - p @ p
+    if rule.kind == "logarithmic":
+        return math.log(p[i])
+    e = math.exp(rule.K * p[0])
+    ei = np.eye(2)[i]
+    return 2.0 * e / rule.K + np.array([e, -e]) @ (ei - p)
+
+
 class TestVectorizedPaths:
-    @pytest.mark.parametrize("rule", RULES_N2, ids=str)
+    @pytest.mark.parametrize(
+        "rule",
+        [pytest.param(r, id=str(r)) for r in RULES_N2]
+        + [pytest.param(quadratic_rule(5), id="quadratic-n5"),
+           pytest.param(logarithmic_rule(5), id="log-n5")],
+    )
     def test_score_rows_matches_scalar(self, rule):
         rng = np.random.default_rng(31)
-        P = 0.98 * sample_simplex_points(2, 64, rng) + 0.01
-        Y = rng.integers(0, 2, size=64)
+        P = 0.98 * sample_simplex_points(rule.n, 64, rng) + 0.02 / rule.n
+        Y = rng.integers(0, rule.n, size=64)
         vec = rule.score_rows(P, Y)
         for i in range(64):
-            assert vec[i] == pytest.approx(
-                rule.score(SimplexPoint(P[i]), int(Y[i])), abs=1e-12
+            ref = closed_form_score(rule, P[i], int(Y[i]))
+            assert vec[i] == pytest.approx(ref, rel=1e-14, abs=1e-14)
+            assert rule.score(SimplexPoint(P[i]), int(Y[i])) == pytest.approx(
+                ref, rel=1e-14, abs=1e-14
             )
 
     @pytest.mark.parametrize("rule", RULES_N2, ids=str)
@@ -272,6 +291,12 @@ class TestVectorizedPaths:
         fxs = np.array([0.2, 0.4, 0.5, 0.6, 0.8])
         grid = rule.binary_objective_grid(xs, fxs)
         for x, fx, val in zip(xs, fxs, grid):
-            assert val == pytest.approx(
-                rule.expected_score(binary_point(x), binary_point(fx)), abs=1e-12
+            p = np.array([x, 1.0 - x])
+            # the expectation of the per-outcome closed forms under (fx, 1 - fx)
+            ref = fx * closed_form_score(rule, p, 0) + (1.0 - fx) * closed_form_score(
+                rule, p, 1
+            )
+            assert val == pytest.approx(ref, abs=1e-12)
+            assert rule.expected_score(binary_point(x), binary_point(fx)) == pytest.approx(
+                ref, abs=1e-12
             )

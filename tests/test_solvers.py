@@ -23,6 +23,7 @@ from perfscore.simplex import (
     TangentVector,
     binary_point,
     l2_distance,
+    project_raw,
     project_to_simplex,
     sample_simplex_points,
     tangent_project,
@@ -45,6 +46,7 @@ from perfscore.solvers import (
     quadratic_linear_exact_optimum,
     repeated_gradient_ascent,
     repeated_risk_minimization,
+    rga_policy_trace,
     stop_gradient,
 )
 
@@ -593,3 +595,128 @@ class TestBatchedAscentMatchesSequentialReference:
         for a, b in both:
             assert abs(a.objective - b.objective) <= 1e-12 * max(1.0, abs(b.objective))
             assert np.max(np.abs(a.report.probs - b.report.probs)) <= 1e-6
+
+
+# -- per-step online references --------------------------------------------------
+# The online policies as they ran before they used the rules' row kernels:
+# one hand-written score and gradient per step, and the Hessian form of the
+# frozen-belief gradient.
+
+
+def _ref_score(rule, v, y):
+    if rule.kind == "quadratic":
+        return float(2.0 * v[y] - v @ v)
+    if rule.kind == "logarithmic":
+        return float(np.log(v[y])) if v[y] > 0.0 else float("-inf")
+    e = float(np.exp(rule.K * v[0]))
+    d0 = (1.0 if y == 0 else 0.0) - v[0]
+    d1 = (1.0 if y == 1 else 0.0) - v[1]
+    return 2.0 * e / rule.K + e * (d0 - d1)
+
+
+def _ref_single_outcome_gradient(rule, v, y):
+    n = v.size
+    if rule.kind == "quadratic":
+        g = -2.0 * v
+        g[y] += 2.0
+        return g - g.mean()
+    if rule.kind == "logarithmic":
+        g = np.zeros(n)
+        g[y] = 1.0 / v[y]
+        return g - g.mean()
+    e = np.exp(rule.K * v[0])
+    d = np.eye(n)[y] - v
+    g = np.array([rule.K * e * d[0], -rule.K * e * d[0]])
+    return g - g.mean()
+
+
+def _ref_online_sgd(rule, f, p0, schedule, T, seed):
+    rng = np.random.default_rng(seed)
+    n = f.n
+    margin = LOG_INTERIOR_NUDGE if rule.kind == "logarithmic" else 0.0
+    scale = 1.0 - n * margin
+    reports = np.empty((T + 1, n))
+    outcomes = np.empty(T, dtype=np.int64)
+    scores = np.empty(T)
+    uniforms = rng.random(T)
+    v = p0.probs.copy()
+    reports[0] = v
+    for t in range(1, T + 1):
+        q = f.eval_raw(v)
+        y = min(int(np.searchsorted(np.cumsum(q), uniforms[t - 1])), n - 1)
+        outcomes[t - 1] = y
+        scores[t - 1] = _ref_score(rule, v, y)
+        stepped = v + schedule(t) * _ref_single_outcome_gradient(rule, v, y)
+        if margin > 0.0:
+            v = margin + scale * project_raw((stepped - margin) / scale)
+        else:
+            v = project_raw(stepped)
+        reports[t] = v
+    return reports, outcomes, scores
+
+
+def _ref_rga_policy_trace(rule, f, p0, T, seed, step):
+    path = [p0]
+    p = p0
+    for _ in range(T):
+        v = rule.hessian(p).T @ (f.eval(p).probs - p.probs)
+        v = v - v.mean()
+        if np.linalg.norm(v) <= 0.0:
+            break
+        p = project_to_simplex(p.probs + step * v)
+        path.append(p)
+    rng = np.random.default_rng(seed)
+    n = f.n
+    reports = np.empty((T + 1, n))
+    outcomes = np.empty(T, dtype=np.int64)
+    scores = np.empty(T)
+    for t in range(T):
+        point = path[t] if t < len(path) else path[-1]
+        reports[t] = point.probs
+        q = f.eval(point).probs
+        y = int(min(np.searchsorted(np.cumsum(q), rng.random()), n - 1))
+        outcomes[t] = y
+        scores[t] = _ref_score(rule, point.probs, y)
+    reports[T] = (path[T] if T < len(path) else path[-1]).probs
+    return reports, outcomes, scores
+
+
+def _online_cases():
+    linear5 = random_linear(5, np.random.default_rng(63))
+    # (rule, map, SGD step scale, RGA step); the log rule's curvature is
+    # unbounded, so its RGA step is explicit
+    return [
+        pytest.param(quadratic_rule(2), affine_binary(binary_point(0.7), 0.5), 1.0, 0.5,
+                     id="quadratic-n2"),
+        pytest.param(quadratic_rule(5), linear5, 1.0, 0.5, id="quadratic-n5"),
+        pytest.param(logarithmic_rule(2), affine_binary(binary_point(0.97), 0.3), 0.5, 0.02,
+                     id="log"),
+        pytest.param(exponential_binary_rule(3.0), affine_binary(binary_point(0.3), 0.5),
+                     0.05, 1.0 / (3.0 * math.exp(3.0)), id="exp"),
+    ]
+
+
+class TestOnlinePoliciesMatchPerStepReference:
+    # the kernels change only the order of a few float operations per step,
+    # so outcomes match exactly and reports to a few ulps
+    @pytest.mark.parametrize("rule, env, c, step", _online_cases())
+    def test_online_sgd(self, rule, env, c, step):
+        p0 = uniform_point(env.n)
+        ref_reports, ref_outcomes, ref_scores = _ref_online_sgd(
+            rule, env, p0, inverse_schedule(c), 5000, 3
+        )
+        tr = online_sgd(rule, env, p0, inverse_schedule(c), 5000, 3)
+        assert np.array_equal(tr.outcomes, ref_outcomes)
+        assert np.max(np.abs(tr.reports - ref_reports)) <= 1e-15
+        assert tr.scores == pytest.approx(ref_scores, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize("rule, env, c, step", _online_cases())
+    def test_rga_policy_trace(self, rule, env, c, step):
+        p0 = uniform_point(env.n)
+        ref_reports, ref_outcomes, ref_scores = _ref_rga_policy_trace(
+            rule, env, p0, 2000, 4, step
+        )
+        tr = rga_policy_trace(rule, env, p0, 2000, 4, step=step)
+        assert np.array_equal(tr.outcomes, ref_outcomes)
+        assert np.max(np.abs(tr.reports - ref_reports)) <= 1e-15
+        assert tr.scores == pytest.approx(ref_scores, rel=1e-14, abs=1e-14)
