@@ -72,7 +72,8 @@ def inaccuracy_bound(
     L_G = rule.max_subgradient_norm() if L_G is None else float(L_G)
     gamma = rule.min_gamma()
     pointwise = df_norm * g_norm / gamma_p
-    lipschitz = L_f * L_G / gamma
+    # a constant map (L_f = 0) moves no report, even where L_G is infinite
+    lipschitz = 0.0 if L_f == 0.0 else L_f * L_G / gamma
     fp_bound = None
     if L_f < 1.0:
         fp_bound = g_norm * df_norm / ((1.0 - L_f) * gamma_p)

@@ -19,7 +19,6 @@ from .bounds import (
     FIXED_POINT_DISTANCE,
     INACCURACY,
     design_exponential_rule,
-    fixed_point_distance_bound,
     inaccuracy_bound,
     stake_profile,
 )

@@ -1,19 +1,29 @@
 """Belief-response environments f: Delta(n) -> Delta(n).
 
 An environment map sends a published prediction p to the outcome
-distribution q = f(p) it induces.  Shipped families:
+distribution q = f(p) it induces.  Three families, each with its named
+constructors:
 
-* affine-binary(p*, alpha)   f(p) = p* + alpha (p - p*); slope alpha,
-  fixed point p*.  Valid for alpha in [0, 1] unconditionally; other
-  slopes are accepted only when the image stays inside the simplex.
-* bank-run                   the cubic f1(p1) = p1 - 3 (p1 - 1/10)(p1 - 3/5)(p1 - 9/10) / 2
+* linear(A)        f(p) = A p for a column-stochastic matrix A, any n.
+  On the simplex 1^T p = 1, so two more constructors are linear maps:
+  - affine_binary(p*, alpha)  f(p) = p* + alpha (p - p*), that is
+    A = alpha I + (1 - alpha) p* 1^T; slope alpha, fixed point p*.
+    Valid for alpha in [0, 1] unconditionally; other slopes are accepted
+    only when the columns (the images of the vertices) stay inside the
+    simplex.
+  - shrink_to(p*, alpha)      f(p) = (1 - alpha) p + alpha p*, that is
+    A = (1 - alpha) I + alpha p* 1^T; pulls every point toward p* at
+    rate alpha (any n).
+* piecewise-linear binary  f1 interpolates knots (xs, ys), flat outside:
+  - tabulated(xs, ys)         the knots as given.
+  - ramp_binary(zeta, eps)    rises at slope 1 - eps from a small start
+    value, then saturates at 1 - zeta; unique fixed point, Lipschitz
+    1 - eps.
+* bank_run()       the cubic f1(p1) = p1 - 3 (p1 - 1/10)(p1 - 3/5)(p1 - 9/10) / 2
   with three fixed points at p1 = 0.1, 0.6, 0.9.
-* linear(A)                  f(p) = A p for a column-stochastic matrix A.
-* shrink-to(p*, alpha)       f(p) = (1 - alpha) p + alpha p*; pulls every
-  point toward p* at rate alpha (any n).
-* ramp-binary(zeta, eps)     rises at slope 1 - eps from a small start
-  value, then saturates at 1 - zeta; unique fixed point, Lipschitz 1 - eps.
-* tabulated                  binary map interpolated from a grid (tests).
+
+Fixed points: binary maps by a sign-scan of f1(x) - x, maps with n > 2
+(all linear) by the eigenproblem.
 """
 
 from __future__ import annotations
@@ -32,196 +42,95 @@ from .simplex import (
     uniform_point,
 )
 
-AFFINE_BINARY = "affine-binary"
-BANK_RUN = "bank-run"
-LINEAR = "linear"
-SHRINK_TO = "shrink-to"
-RAMP_BINARY = "ramp-binary"
-TABULATED = "tabulated"
-
 _BOUNDARY_SLACK = 1e-12
 
 
 class EnvironmentMap:
-    """One belief-response map.  Immutable; all methods are pure."""
+    """One belief-response map.  Immutable; all methods are pure.
 
-    def __init__(self, kind, n, *, p_star=None, alpha=None, A=None,
-                 zeta=None, eps=None, ramp_start=None, grid=None):
-        self.kind = kind
+    The public calls are written once, here, over two kernels on bare
+    (R, n) arrays: ``_rows`` (f of each row) and ``_jacobian_t_rows``.
+    The kernels below are the binary ones, built from a family's ``_f1``
+    and ``_slope1``; ``LinearMap`` replaces them.  ``p_star`` is the
+    map's closed-form fixed point, or None.
+    """
+
+    def __init__(self, n: int, descriptor: str, lipschitz: float, p_star=None):
         self.n = n
         self.p_star = p_star
-        self.alpha = alpha
-        self.A = A
-        self.zeta = zeta
-        self.eps = eps
-        self.ramp_start = ramp_start
-        self.grid = grid
-        if A is not None:
-            self.A = np.array(A, dtype=float)
-            self.A.flags.writeable = False
+        self._descriptor = descriptor
+        self._lipschitz = float(lipschitz)
 
     # -- evaluation --------------------------------------------------------
 
     def eval(self, p: SimplexPoint) -> SimplexPoint:
         """q = f(p)."""
         self._check_point(p)
-        if self.kind in (AFFINE_BINARY, BANK_RUN, RAMP_BINARY, TABULATED):
-            return binary_point(float(self.eval1(np.asarray(p[0]))))
-        if self.kind == LINEAR:
-            return SimplexPoint(self.A @ p.probs)
-        # shrink-to
-        return SimplexPoint(
-            (1.0 - self.alpha) * p.probs + self.alpha * self.p_star.probs
-        )
-
-    def eval1(self, x):
-        """Vectorized first coordinate f1(p1) for binary kinds."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == AFFINE_BINARY:
-            return self.p_star[0] + self.alpha * (x - self.p_star[0])
-        if self.kind == BANK_RUN:
-            return x - 1.5 * (x - 0.1) * (x - 0.6) * (x - 0.9)
-        if self.kind == RAMP_BINARY:
-            return np.minimum(
-                self.ramp_start + (1.0 - self.eps) * x, 1.0 - self.zeta
-            )
-        if self.kind == TABULATED:
-            xs, ys = self.grid
-            return np.interp(x, xs, ys)
-        if self.kind == LINEAR and self.n == 2:
-            return self.A[0, 0] * x + self.A[0, 1] * (1.0 - x)
-        if self.kind == SHRINK_TO and self.n == 2:
-            return (1.0 - self.alpha) * x + self.alpha * self.p_star[0]
-        raise InvalidArgumentError(f"eval1 not available for kind {self.kind!r}")
+        return SimplexPoint(self.eval_raw(p.probs))
 
     def eval_raw(self, v: np.ndarray) -> np.ndarray:
         """f on a bare probability array, skipping validation (hot loops)."""
-        if self.kind == LINEAR:
-            return self.A @ v
-        if self.kind == SHRINK_TO:
-            return (1.0 - self.alpha) * v + self.alpha * self.p_star.probs
-        f1 = float(self.eval1(v[0]))
-        return np.array([f1, 1.0 - f1])
+        return self._rows(v[None, :])[0]
 
     def eval_rows(self, P: np.ndarray) -> np.ndarray:
         """Row-wise evaluation: stack of f(p) for each row p of P."""
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[1] != self.n:
             raise InvalidArgumentError(f"expected rows of length {self.n}")
-        if self.kind == LINEAR:
-            return P @ self.A.T
-        if self.kind == SHRINK_TO:
-            return (1.0 - self.alpha) * P + self.alpha * self.p_star.probs
-        f1 = self.eval1(P[:, 0])
-        return np.column_stack([f1, 1.0 - f1])
+        return self._rows(P)
+
+    def eval1(self, x):
+        """Vectorized first coordinate f1(p1) of a binary map."""
+        self._check_binary()
+        return self._f1(np.asarray(x, dtype=float))
 
     def slope1(self, x):
-        """d f1 / d p1 for binary kinds (one-sided at the ramp kink)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == AFFINE_BINARY:
-            return np.broadcast_to(np.asarray(self.alpha, dtype=float), x.shape)
-        if self.kind == BANK_RUN:
-            return -4.5 * x * x + 4.8 * x - 0.035
-        if self.kind == RAMP_BINARY:
-            kink = (1.0 - self.zeta - self.ramp_start) / (1.0 - self.eps)
-            return np.where(x < kink, 1.0 - self.eps, 0.0)
-        if self.kind == TABULATED:
-            # the segment [xs[k], xs[k+1]) containing x, so right-continuous
-            # at knots; the last knot takes the last segment; flat outside
-            xs, ys = self.grid
-            slopes = np.diff(ys) / np.diff(xs)
-            k = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, slopes.size - 1)
-            return np.where((x >= xs[0]) & (x <= xs[-1]), slopes[k], 0.0)
-        if self.kind == LINEAR and self.n == 2:
-            return np.broadcast_to(
-                np.asarray(self.A[0, 0] - self.A[0, 1], dtype=float), x.shape
-            )
-        if self.kind == SHRINK_TO and self.n == 2:
-            return np.broadcast_to(np.asarray(1.0 - self.alpha), x.shape)
-        raise InvalidArgumentError(f"slope1 not available for kind {self.kind!r}")
+        """d f1 / d p1 of a binary map (right-sided at a kink)."""
+        self._check_binary()
+        return self._slope1(np.asarray(x, dtype=float))
 
     # -- differentiation ----------------------------------------------------
 
     def jacobian(self, p: SimplexPoint) -> np.ndarray:
         """Df(p) as an n x n matrix; only its action on T matters.
 
-        Analytic for every shipped kind.  At a kink (the ramp's, a tabulated
-        knot) the map is not differentiable and ``slope1``'s one-sided slope
-        is reported.
+        Row r is Df(p)^T e_r.  At a kink (a piecewise-linear knot) the map
+        is not differentiable and ``slope1``'s one-sided slope is reported.
         """
         self._check_point(p)
-        if self.kind == AFFINE_BINARY:
-            return self.alpha * np.eye(2)
-        if self.kind == SHRINK_TO:
-            return (1.0 - self.alpha) * np.eye(self.n)
-        if self.kind == LINEAR:
-            return np.array(self.A)
-        d = float(self.slope1(np.asarray(p[0])))
-        return np.array([[d, 0.0], [-d, 0.0]])
-
-    def _jacobian_t_rows(self, H: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """Df(H_r)^T G_r for every row r of bare (R, n) arrays (no validation)."""
-        if self.kind == AFFINE_BINARY:
-            return self.alpha * G
-        if self.kind == SHRINK_TO:
-            return (1.0 - self.alpha) * G
-        if self.kind == LINEAR:
-            return G @ self.A
-        d = self.slope1(H[:, 0])
-        out = np.zeros_like(G)
-        out[:, 0] = d * G[:, 0] - d * G[:, 1]
-        return out
+        return self._jacobian_t_rows(np.tile(p.probs, (self.n, 1)), np.eye(self.n))
 
     def lipschitz_estimate(self) -> float:
         """sup_p ||Df(p)||_op on the tangent space.
 
-        Exact for affine, shrink-to, linear, ramp and tabulated kinds (a
-        tabulated map's largest segment slope); the bank-run cubic is
+        Exact for linear and piecewise-linear maps; the bank-run cubic is
         scanned on a fine grid.
         """
-        if self.kind == AFFINE_BINARY:
-            return abs(self.alpha)
-        if self.kind == SHRINK_TO:
-            return abs(1.0 - self.alpha)
-        if self.kind == LINEAR:
-            return tangent_operator_norm(self.A)
-        if self.kind == RAMP_BINARY:
-            return 1.0 - self.eps
-        if self.kind == BANK_RUN:
-            xs = np.linspace(0.0, 1.0, 10001)
-            return float(np.max(np.abs(self.slope1(xs))))
-        xs, ys = self.grid
-        return float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
+        return self._lipschitz
 
     # -- misc ----------------------------------------------------------------
 
     def exact_fixed_point(self) -> Optional[SimplexPoint]:
         """Closed-form fixed point when the family provides one."""
-        if self.kind == AFFINE_BINARY and self.alpha != 1.0:
-            return self.p_star
-        if self.kind == SHRINK_TO and self.alpha != 0.0:
-            return self.p_star
-        if self.kind == RAMP_BINARY:
-            if self.ramp_start >= self.eps * (1.0 - self.zeta):
-                return binary_point(1.0 - self.zeta)
-            return binary_point(self.ramp_start / self.eps)
-        return None
+        return self.p_star
 
     def descriptor(self) -> str:
-        if self.kind == AFFINE_BINARY:
-            return f"affine:p1={self.p_star[0]:.17g},alpha={self.alpha:.17g}"
-        if self.kind == BANK_RUN:
-            return "bankrun"
-        if self.kind == LINEAR:
-            return f"linear:n={self.n}"
-        if self.kind == SHRINK_TO:
-            return f"shrink:alpha={self.alpha:.17g},n={self.n}"
-        if self.kind == RAMP_BINARY:
-            return (
-                f"ramp:zeta={self.zeta:.17g},eps={self.eps:.17g},"
-                f"start={self.ramp_start:.17g}"
-            )
-        return "tabulated"
+        return self._descriptor
+
+    def _rows(self, P: np.ndarray) -> np.ndarray:
+        f1 = self._f1(P[:, :1])
+        return np.concatenate([f1, 1.0 - f1], axis=1)
+
+    def _jacobian_t_rows(self, H: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """Df(H_r)^T G_r for every row r of bare (R, n) arrays (no validation)."""
+        d = self._slope1(H[:, 0])
+        out = np.zeros_like(G)
+        out[:, 0] = d * G[:, 0] - d * G[:, 1]
+        return out
+
+    def _check_binary(self):
+        if self.n != 2:
+            raise InvalidArgumentError(f"not a binary map: {self.descriptor()}")
 
     def _check_point(self, p: SimplexPoint):
         if not isinstance(p, SimplexPoint):
@@ -233,6 +142,74 @@ class EnvironmentMap:
         return f"EnvironmentMap({self.descriptor()})"
 
 
+class LinearMap(EnvironmentMap):
+    """f(p) = A p for a column-stochastic A."""
+
+    def __init__(self, A: np.ndarray, descriptor=None, lipschitz=None, p_star=None):
+        A = np.array(A, dtype=float)
+        A.flags.writeable = False
+        self.A = A
+        super().__init__(
+            A.shape[0],
+            descriptor or f"linear:n={A.shape[0]}",
+            tangent_operator_norm(A) if lipschitz is None else lipschitz,
+            p_star,
+        )
+
+    def _rows(self, P):
+        return P @ self.A.T
+
+    def _jacobian_t_rows(self, H, G):
+        return G @ self.A
+
+    def _f1(self, x):
+        return self.A[0, 1] + (self.A[0, 0] - self.A[0, 1]) * x
+
+    def _slope1(self, x):
+        return np.broadcast_to(self.A[0, 0] - self.A[0, 1], x.shape)
+
+
+class PiecewiseLinearMap(EnvironmentMap):
+    """Binary map whose f1 interpolates the knots (xs, ys) linearly and is
+    flat outside [xs[0], xs[-1]]."""
+
+    def __init__(self, xs, ys, descriptor="tabulated", lipschitz=None, p_star=None):
+        self.xs = np.array(xs, dtype=float)
+        self.ys = np.array(ys, dtype=float)
+        slopes = np.diff(self.ys) / np.diff(self.xs)
+        # x in [xs[k], xs[k+1]) takes slope k (right-continuous at knots),
+        # the last knot the last segment, and x outside [xs[0], xs[-1]] 0;
+        # the leading 0 serves x < xs[0]
+        self._slopes = np.concatenate([[0.0], slopes])
+        super().__init__(
+            2,
+            descriptor,
+            np.max(np.abs(slopes)) if lipschitz is None else lipschitz,
+            p_star,
+        )
+
+    def _f1(self, x):
+        return np.interp(x, self.xs, self.ys)
+
+    def _slope1(self, x):
+        k = np.searchsorted(self.xs[:-1], x, side="right")
+        return np.where(x <= self.xs[-1], self._slopes[k], 0.0)
+
+
+class BankRunMap(EnvironmentMap):
+    """The cubic crowd-response map with fixed points at 0.1, 0.6, 0.9."""
+
+    def __init__(self):
+        xs = np.linspace(0.0, 1.0, 10001)
+        super().__init__(2, "bankrun", np.max(np.abs(self._slope1(xs))))
+
+    def _f1(self, x):
+        return x - 1.5 * (x - 0.1) * (x - 0.6) * (x - 0.9)
+
+    def _slope1(self, x):
+        return -4.5 * x * x + 4.8 * x - 0.035
+
+
 # -- constructors -------------------------------------------------------------
 
 
@@ -241,20 +218,26 @@ def affine_binary(p_star: SimplexPoint, alpha: float) -> EnvironmentMap:
     if p_star.n != 2:
         raise InvalidArgumentError("affine-binary requires a binary fixed point")
     alpha = float(alpha)
-    if not (0.0 <= alpha <= 1.0):
-        # the image of [0, 1] under an affine map is spanned by the endpoints
-        for endpoint in (0.0, 1.0):
-            y = p_star[0] + alpha * (endpoint - p_star[0])
-            if not -_BOUNDARY_SLACK <= y <= 1.0 + _BOUNDARY_SLACK:
-                raise InvalidArgumentError(
-                    f"affine map with alpha={alpha}, p*={p_star[0]} leaves the simplex"
-                )
-    return EnvironmentMap(AFFINE_BINARY, 2, p_star=p_star, alpha=alpha)
+    if not np.isfinite(alpha):
+        raise InvalidArgumentError(f"affine slope alpha={alpha} is not finite")
+    # column j is the image of vertex j, so the map stays inside the simplex
+    # exactly when A is column-stochastic
+    A = alpha * np.eye(2) + (1.0 - alpha) * p_star.probs[:, None]
+    if np.any(A < -_BOUNDARY_SLACK):
+        raise InvalidArgumentError(
+            f"affine map with alpha={alpha}, p*={p_star[0]} leaves the simplex"
+        )
+    return LinearMap(
+        np.clip(A, 0.0, None),
+        f"affine:p1={p_star[0]:.17g},alpha={alpha:.17g}",
+        abs(alpha),
+        p_star if alpha != 1.0 else None,
+    )
 
 
 def bank_run() -> EnvironmentMap:
     """The cubic crowd-response map with fixed points at 0.1, 0.6, 0.9."""
-    return EnvironmentMap(BANK_RUN, 2)
+    return BankRunMap()
 
 
 def linear(A) -> EnvironmentMap:
@@ -269,7 +252,7 @@ def linear(A) -> EnvironmentMap:
     sums = A.sum(axis=0)
     if np.any(np.abs(sums - 1.0) > 1e-9):
         raise InvalidArgumentError(f"columns of A must sum to 1, got {sums}")
-    return EnvironmentMap(LINEAR, A.shape[0], A=np.clip(A, 0.0, None))
+    return LinearMap(np.clip(A, 0.0, None))
 
 
 def random_linear(n: int, rng: np.random.Generator) -> EnvironmentMap:
@@ -283,11 +266,17 @@ def shrink_to(p_star: SimplexPoint, alpha: float) -> EnvironmentMap:
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise InvalidArgumentError(f"shrink rate alpha={alpha} outside [0, 1]")
-    return EnvironmentMap(SHRINK_TO, p_star.n, p_star=p_star, alpha=alpha)
+    n = p_star.n
+    return LinearMap(
+        (1.0 - alpha) * np.eye(n) + alpha * p_star.probs[:, None],
+        f"shrink:alpha={alpha:.17g},n={n}",
+        abs(1.0 - alpha),
+        p_star if alpha != 0.0 else None,
+    )
 
 
 def ramp_binary(zeta: float, eps: float, start: float = None) -> EnvironmentMap:
-    """Saturating ramp: slope 1 - eps up to the plateau 1 - zeta.
+    """Saturating ramp f1(x) = min(start + (1 - eps) x, 1 - zeta).
 
     ``start`` is f1(0); any small positive value works, default zeta / 10.
     """
@@ -298,7 +287,20 @@ def ramp_binary(zeta: float, eps: float, start: float = None) -> EnvironmentMap:
     start = zeta / 10.0 if start is None else float(start)
     if not 0.0 < start < 1.0 - zeta:
         raise InvalidArgumentError(f"ramp start {start} outside (0, 1 - zeta)")
-    return EnvironmentMap(RAMP_BINARY, 2, zeta=zeta, eps=eps, ramp_start=start)
+    kink = (1.0 - zeta - start) / (1.0 - eps)
+    if kink < 1.0:
+        xs, ys = [0.0, kink, 1.0], [start, 1.0 - zeta, 1.0 - zeta]
+    else:
+        # the ramp reaches its plateau only beyond p1 = 1
+        xs, ys = [0.0, 1.0], [start, start + 1.0 - eps]
+    fixed = 1.0 - zeta if start >= eps * (1.0 - zeta) else start / eps
+    return PiecewiseLinearMap(
+        xs,
+        ys,
+        f"ramp:zeta={zeta:.17g},eps={eps:.17g},start={start:.17g}",
+        1.0 - eps,
+        binary_point(fixed),
+    )
 
 
 def tabulated(xs, f1s) -> EnvironmentMap:
@@ -311,7 +313,7 @@ def tabulated(xs, f1s) -> EnvironmentMap:
         raise InvalidArgumentError("grid abscissae must be strictly increasing")
     if np.any(f1s < 0.0) or np.any(f1s > 1.0):
         raise InvalidArgumentError("grid values must lie in [0, 1]")
-    return EnvironmentMap(TABULATED, 2, grid=(xs.copy(), f1s.copy()))
+    return PiecewiseLinearMap(xs, f1s)
 
 
 def parse_environment(spec: str, rng_seed: int = 0) -> EnvironmentMap:
@@ -376,7 +378,6 @@ class FixedPointSet:
 
 @dataclass
 class FixedPointConfig:
-    max_iters: int = 100_000
     tol: float = 1e-12
     scan_step: float = 1e-4
     residual_tol: float = 1e-8
@@ -396,39 +397,16 @@ def _bisect_fixed_point(f: EnvironmentMap, lo: float, hi: float, tol: float) -> 
     return 0.5 * (lo + hi)
 
 
-def _banach_iterate(f: EnvironmentMap, start: SimplexPoint, cfg: FixedPointConfig):
-    p = start
-    for _ in range(cfg.max_iters):
-        q = f.eval(p)
-        if np.linalg.norm(q.probs - p.probs) <= cfg.tol:
-            return q
-        p = q
-    raise IterationLimitError(
-        f"no fixed point within {cfg.max_iters} iterations", best=p
-    )
-
-
 def find_fixed_points(f: EnvironmentMap, cfg: FixedPointConfig = None) -> FixedPointSet:
     """Locate fixed points of f.
 
-    Strategy: linear maps use the eigenvector for eigenvalue 1 (which
-    exists because columns sum to one); binary maps are scanned for sign
-    changes of f1(x) - x and each bracket refined by bisection, which
-    catches multiple fixed points; contraction maps fall back to iteration
-    from the barycenter, unique by the contraction principle.
+    Binary maps are scanned for sign changes of f1(x) - x and each bracket
+    refined by bisection, which catches multiple fixed points.  Maps with
+    n > 2 are linear and use the eigenvector for eigenvalue 1 (which
+    exists because columns sum to one), unique when L_f < 1 by the
+    contraction principle.
     """
     cfg = cfg or FixedPointConfig()
-
-    if f.kind == LINEAR:
-        vals, vecs = np.linalg.eig(f.A)
-        idx = int(np.argmin(np.abs(vals - 1.0)))
-        v = np.real(vecs[:, idx])
-        v = np.abs(v)
-        v = v / v.sum()
-        point = SimplexPoint(v)
-        point = _polish_linear_fixed_point(f, point)
-        _verify_fixed_points(f, [point], cfg.residual_tol)
-        return FixedPointSet([point], "eigen", unique_guaranteed=False)
 
     if f.n == 2:
         xs = np.arange(0.0, 1.0 + 0.5 * cfg.scan_step, cfg.scan_step)
@@ -436,15 +414,9 @@ def find_fixed_points(f: EnvironmentMap, cfg: FixedPointConfig = None) -> FixedP
         if np.max(np.abs(resid)) < 1e-12:
             # identity-like map: every point is fixed
             return FixedPointSet([uniform_point(2)], "sign-scan", unique_guaranteed=False)
-        roots = []
-        for i in range(xs.size - 1):
-            a, b = resid[i], resid[i + 1]
-            if a == 0.0:
-                roots.append(xs[i])
-            elif a * b < 0.0:
-                roots.append(_bisect_fixed_point(f, xs[i], xs[i + 1], cfg.tol))
-        if resid[-1] == 0.0:
-            roots.append(xs[-1])
+        roots = list(xs[resid == 0.0])
+        for i in np.flatnonzero(resid[:-1] * resid[1:] < 0.0):
+            roots.append(_bisect_fixed_point(f, xs[i], xs[i + 1], cfg.tol))
         deduped = []
         for r in sorted(roots):
             if not deduped or r - deduped[-1] > 1e-9:
@@ -454,13 +426,13 @@ def find_fixed_points(f: EnvironmentMap, cfg: FixedPointConfig = None) -> FixedP
         unique = len(points) == 1 and f.lipschitz_estimate() < 1.0
         return FixedPointSet(points, "sign-scan", unique_guaranteed=unique)
 
-    if f.lipschitz_estimate() < 1.0:
-        point = _banach_iterate(f, uniform_point(f.n), cfg)
-        _verify_fixed_points(f, [point], cfg.residual_tol)
-        return FixedPointSet([point], "banach", unique_guaranteed=True)
-
-    raise InvalidArgumentError(
-        f"no fixed-point strategy for kind {f.kind!r} with n={f.n} and L_f >= 1"
+    vals, vecs = np.linalg.eig(f.A)
+    idx = int(np.argmin(np.abs(vals - 1.0)))
+    v = np.abs(np.real(vecs[:, idx]))
+    point = _polish_linear_fixed_point(f, SimplexPoint(v / v.sum()))
+    _verify_fixed_points(f, [point], cfg.residual_tol)
+    return FixedPointSet(
+        [point], "eigen", unique_guaranteed=f.lipschitz_estimate() < 1.0
     )
 
 

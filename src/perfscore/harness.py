@@ -20,25 +20,11 @@ from typing import Optional
 import numpy as np
 
 from .bounds import log_binary_bound
-from .environment import (
-    EnvironmentMap,
-    affine_binary,
-    find_fixed_points,
-    ramp_binary,
-    random_linear,
-    shrink_to,
-)
+from .environment import find_fixed_points, ramp_binary, random_linear, shrink_to
 from .errors import InvalidArgumentError, SolveTimeoutError
-from .scoring import (
-    EXPONENTIAL_BINARY,
-    LOGARITHMIC,
-    QUADRATIC,
-    ScoringRule,
-    quadratic_rule,
-)
+from .scoring import LOGARITHMIC, QUADRATIC, ScoringRule, quadratic_rule
 from .simplex import (
     SimplexPoint,
-    binary_point,
     l2_distance,
     tangent_operator_norm,
     uniform_point,
@@ -128,12 +114,12 @@ class LinearFit:
 class ExperimentSummary:
     """Aggregate statistics over the ok records of a many-outcome run."""
 
-    inaccuracy: SummaryStats
-    dist_to_fp: SummaryStats
-    slack_Lf: SummaryStats
-    slack_pointwise: SummaryStats
-    correlations: dict
-    fits: dict
+    inaccuracy: Optional[SummaryStats]
+    dist_to_fp: Optional[SummaryStats]
+    slack_Lf: Optional[SummaryStats]
+    slack_pointwise: Optional[SummaryStats]
+    correlations: Optional[dict]
+    fits: Optional[dict]
     n_ok: int
     n_timeout: int
 
@@ -321,10 +307,16 @@ def _run_linear_trial(args):
 
 
 def summarize_records(records: list) -> ExperimentSummary:
+    """Statistics over the ok records.
+
+    Every statistic is None when no record is ok; a correlation or a fit
+    is None while one of its variables takes a single value (as with one
+    ok record).
+    """
     ok = [r for r in records if r.status == STATUS_OK]
     n_timeout = len(records) - len(ok)
     if not ok:
-        raise InvalidArgumentError("no ok records to summarize")
+        return ExperimentSummary(None, None, None, None, None, None, 0, n_timeout)
     inacc = np.array([r.inaccuracy for r in ok])
     dfp = np.array([r.dist_to_fp for r in ok])
     opn = np.array([r.op_norm for r in ok])
@@ -333,7 +325,12 @@ def summarize_records(records: list) -> ExperimentSummary:
     slack_p = np.array([r.bound_pointwise - r.inaccuracy for r in ok])
 
     def corr(a, b):
+        if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
+            return None
         return float(np.corrcoef(a, b)[0, 1])
+
+    def fit(x, y):
+        return LinearFit.of(x, y) if np.ptp(x) > 0.0 else None
 
     return ExperimentSummary(
         inaccuracy=SummaryStats.of(inacc),
@@ -348,8 +345,8 @@ def summarize_records(records: list) -> ExperimentSummary:
             "inaccuracy_vs_dist_to_fp": corr(inacc, dfp),
         },
         fits={
-            "inaccuracy_on_op_norm": LinearFit.of(opn, inacc),
-            "dist_to_fp_on_op_norm": LinearFit.of(opn, dfp),
+            "inaccuracy_on_op_norm": fit(opn, inacc),
+            "dist_to_fp_on_op_norm": fit(opn, dfp),
         },
         n_ok=len(ok),
         n_timeout=n_timeout,
@@ -472,16 +469,17 @@ def ramp_distance_demo(
     the unique fixed point: the distance is at least 1 - zeta - 2 * start
     in first-coordinate terms."""
     env = ramp_binary(zeta, eps)
+    start = float(env.eval1(0.0))  # f1(0), the ramp's start value
     solved = grid_optimum_binary(rule, env, resolution)
     fp = env.exact_fixed_point()
     return RampDemoReport(
         zeta=zeta,
         eps=eps,
-        ramp_start=env.ramp_start,
+        ramp_start=start,
         report=solved.report,
         fixed_point=fp,
         dist_p1=abs(solved.report[0] - fp[0]),
-        threshold=1.0 - zeta - 2.0 * env.ramp_start,
+        threshold=1.0 - zeta - 2.0 * start,
     )
 
 

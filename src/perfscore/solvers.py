@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .environment import EnvironmentMap
+from .environment import EnvironmentMap, LinearMap
 from .errors import DomainError, InvalidArgumentError, SolveTimeoutError
 from .scoring import LOGARITHMIC, QUADRATIC, ScoringRule
 from .simplex import (
@@ -379,7 +379,8 @@ def performative_optimum(
 
     Starts from the barycenter, inward-nudged vertices, face centers, and
     seeded uniform draws.  Binary problems also run the grid oracle, and
-    the quadratic rule under a linear map the exact oracle; the ascent from
+    the quadratic rule under any other linear map (shrink maps included)
+    the exact oracle; the ascent from
     the oracle's argmax joins the starts, all of which advance together as
     one batch of rows, and the best-scoring candidate wins.
     Non-convergence is reported through ``converged``, never raised; only
@@ -397,7 +398,7 @@ def performative_optimum(
     oracle = None
     if f.n == 2:
         oracle = grid_optimum_binary(rule, f, cfg.grid_resolution)
-    elif rule.kind == QUADRATIC and f.kind == "linear":
+    elif rule.kind == QUADRATIC and isinstance(f, LinearMap):
         # the quadratic objective under a linear map admits an exact
         # support-enumeration oracle; merge it like the binary grid
         oracle = quadratic_linear_exact_optimum(f)
@@ -431,10 +432,11 @@ def quadratic_linear_exact_optimum(f: EnvironmentMap) -> SolveResult:
     cheap for the small n used here; serves as an independent oracle for
     the gradient solver.
     """
-    if f.kind != "linear":
+    A = getattr(f, "A", None)
+    if A is None:
         raise InvalidArgumentError("exact oracle requires a linear environment")
     n = f.n
-    M = f.A + f.A.T - np.eye(n)
+    M = A + A.T - np.eye(n)
     best_x, best_val = None, -np.inf
     for size in range(1, n + 1):
         for support in combinations(range(n), size):

@@ -65,6 +65,17 @@ class TestInaccuracyBound:
         with pytest.raises(DomainError):
             inaccuracy_bound(lg, env, binary_point(1.0))
 
+    @pytest.mark.parametrize("L_f", [None, 0.0])
+    def test_log_rule_under_constant_map(self, L_f):
+        # L_f = 0 against the log rule's L_G = inf: a constant map moves no
+        # report, so every bound form is 0 (not 0 * inf = nan)
+        env = affine_binary(binary_point(0.5), 0.0)
+        rep = inaccuracy_bound(logarithmic_rule(2), env, binary_point(0.3), L_f=L_f)
+        assert rep.inputs["L_f"] == 0.0
+        assert rep.lipschitz_inaccuracy_bound == 0.0
+        assert rep.pointwise_inaccuracy_bound == 0.0
+        assert rep.fixed_point_distance_bound == 0.0
+
     def test_monotone_in_lipschitz_and_outcomes(self):
         # global quadratic bound L sqrt((n-1)/n) grows in both arguments
         rates = []

@@ -24,7 +24,7 @@ from perfscore.simplex import (
     uniform_point,
 )
 
-ALL_KINDS = "affine bank_run linear shrink ramp tabulated".split()
+ALL_KINDS = "affine bank_run linear shrink ramp ramp_open tabulated".split()
 
 
 def make_env(kind, n=2, seed=0):
@@ -38,6 +38,9 @@ def make_env(kind, n=2, seed=0):
         return shrink_to(uniform_point(n), 0.3)
     if kind == "ramp":
         return ramp_binary(0.1, 0.01)
+    if kind == "ramp_open":
+        # (1 - zeta - start) / (1 - eps) > 1: no plateau inside [0, 1]
+        return ramp_binary(0.05, 0.3, 0.005)
     return tabulated([0.0, 0.4, 1.0], [0.2, 0.5, 0.8])
 
 
@@ -111,7 +114,9 @@ class TestEval:
 
 
 class TestJacobian:
-    @pytest.mark.parametrize("kind", ["affine", "bank_run", "linear", "shrink", "tabulated"])
+    @pytest.mark.parametrize(
+        "kind", ["affine", "bank_run", "linear", "shrink", "ramp_open", "tabulated"]
+    )
     def test_matches_central_differences(self, kind):
         env = make_env(kind, n=4 if kind in ("linear", "shrink") else 2)
         rng = np.random.default_rng(10)
@@ -215,9 +220,33 @@ class TestFixedPoints:
     def test_shrink_banach(self):
         env = shrink_to(SimplexPoint([0.5, 0.2, 0.3]), 0.6)
         fps = find_fixed_points(env, FixedPointConfig(tol=1e-13))
-        assert fps.method == "banach"
+        assert fps.method == "eigen"
         assert fps.unique_guaranteed
         assert fps.points[0].probs == pytest.approx([0.5, 0.2, 0.3], abs=1e-9)
+
+    @pytest.mark.parametrize("env", [
+        bank_run(),
+        tabulated(np.linspace(0.0, 1.0, 5), [0.3, 0.8, 0.15, 0.6, 0.9]),
+        # f1(x) = x exactly on [0, 0.3]: zero residuals on the grid
+        tabulated([0.0, 0.3, 1.0], [0.0, 0.3, 0.5]),
+        random_linear(2, np.random.default_rng(5)),
+    ], ids=["bank_run", "tabulated", "partial_identity", "linear2"])
+    def test_sign_scan_matches_loop_reference(self, env):
+        # the bracket search as a per-interval loop over the scan grid
+        xs = np.arange(0.0, 1.0 + 0.5e-4, 1e-4)
+        resid = env.eval1(xs) - xs
+        brackets = []
+        for i in range(xs.size - 1):
+            if resid[i] == 0.0:
+                brackets.append((xs[i], xs[i]))
+            elif resid[i] * resid[i + 1] < 0.0:
+                brackets.append((xs[i], xs[i + 1]))
+        if resid[-1] == 0.0:
+            brackets.append((xs[-1], xs[-1]))
+        got = find_fixed_points(env).coordinates()
+        assert len(got) == len(brackets) > 0
+        for r, (lo, hi) in zip(got, sorted(brackets)):
+            assert lo <= r <= hi
 
     def test_ramp_fixed_point_on_plateau(self):
         env = ramp_binary(0.1, 0.01)
@@ -229,13 +258,13 @@ class TestFixedPoints:
 class TestParsing:
     def test_grammar(self):
         f = parse_environment("affine:p1=0.25,alpha=0.5")
-        assert f.kind == "affine-binary"
+        assert f.descriptor() == "affine:p1=0.25,alpha=0.5"
         assert f.p_star[0] == pytest.approx(0.25)
-        assert parse_environment("bankrun").kind == "bank-run"
+        assert parse_environment("bankrun").descriptor() == "bankrun"
         lin = parse_environment("linear:seed=4,n=3")
-        assert lin.kind == "linear" and lin.n == 3
+        assert lin.descriptor() == "linear:n=3" and lin.n == 3
         ramp = parse_environment("ramp:zeta=0.1,eps=0.02")
-        assert ramp.zeta == pytest.approx(0.1)
+        assert ramp.descriptor() == "ramp:zeta=0.10000000000000001,eps=0.02,start=0.01"
 
     def test_linear_from_file(self, tmp_path):
         path = tmp_path / "A.csv"
@@ -252,4 +281,92 @@ class TestParsing:
     def test_descriptor_roundtrip(self):
         f = affine_binary(binary_point(0.125), 0.75)
         again = parse_environment(f.descriptor())
-        assert again.p_star[0] == f.p_star[0] and again.alpha == f.alpha
+        assert again.p_star[0] == f.p_star[0]
+        assert again.descriptor() == f.descriptor()
+
+
+# -- test-local closed forms of the named constructors ----------------------------
+
+
+def _ramp_form(zeta, eps, start):
+    def rows(P):
+        f1 = np.minimum(start + (1.0 - eps) * P[:, 0], 1.0 - zeta)
+        return np.column_stack([f1, 1.0 - f1])
+
+    def slope(x):
+        return np.where(start + (1.0 - eps) * x < 1.0 - zeta, 1.0 - eps, 0.0)
+
+    fixed = 1.0 - zeta if start >= eps * (1.0 - zeta) else start / eps
+    return ramp_binary(zeta, eps, start), rows, slope, 1.0 - eps, [fixed, 1.0 - fixed]
+
+
+def _affine_form(p1, alpha):
+    target = np.array([p1, 1.0 - p1])
+    return (
+        affine_binary(binary_point(p1), alpha),
+        lambda P: target + alpha * (P - target),
+        lambda x: np.full_like(x, alpha),
+        abs(alpha),
+        target,
+    )
+
+
+def _shrink_form(target, alpha):
+    target = np.asarray(target, dtype=float)
+    return (
+        shrink_to(SimplexPoint(target), alpha),
+        lambda P: (1.0 - alpha) * P + alpha * target,
+        lambda x: np.full_like(x, 1.0 - alpha),
+        abs(1.0 - alpha),
+        target,
+    )
+
+
+# (map, f on rows, binary slope f1', L_f, fixed point)
+CLOSED_FORMS = {
+    "affine": lambda: _affine_form(0.6, 0.45),
+    "affine_negative": lambda: _affine_form(0.45, -0.6),
+    "constant": lambda: _affine_form(0.5, 0.0),
+    "shrink2": lambda: _shrink_form([0.3, 0.7], 0.25),
+    "shrink4": lambda: _shrink_form([0.1, 0.2, 0.3, 0.4], 0.4),
+    "ramp": lambda: _ramp_form(0.1, 0.01, 0.01),
+    "ramp_low_start": lambda: _ramp_form(0.2, 0.05, 0.001),
+    "ramp_open": lambda: _ramp_form(0.05, 0.3, 0.005),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+class TestNamedConstructorsMatchClosedForms:
+    def test_eval_rows(self, name):
+        env, rows, _, _, _ = CLOSED_FORMS[name]()
+        P = sample_simplex_points(env.n, 500, np.random.default_rng(21))
+        assert np.max(np.abs(env.eval_rows(P) - rows(P))) <= 1e-15
+        for v in P[:20]:
+            assert np.max(np.abs(env.eval(SimplexPoint(v)).probs - rows(v[None])[0])) <= 1e-15
+
+    def test_slope1(self, name):
+        env, _, slope, _, _ = CLOSED_FORMS[name]()
+        x = np.random.default_rng(22).random(500)
+        if env.n != 2:
+            with pytest.raises(InvalidArgumentError):
+                env.slope1(x)
+            return
+        assert np.max(np.abs(env.slope1(x) - slope(x))) <= 1e-15
+
+    def test_jacobian_on_tangent_space(self, name):
+        env, _, slope, _, _ = CLOSED_FORMS[name]()
+        B = tangent_basis(env.n)
+        for v in sample_simplex_points(env.n, 50, np.random.default_rng(23)):
+            # every closed form moves a tangent direction d to slope * d
+            JB = env.jacobian(SimplexPoint(v)) @ B
+            assert np.max(np.abs(JB - slope(v[:1])[0] * B)) <= 1e-15
+
+    def test_lipschitz_estimate(self, name):
+        env, _, _, L_f, _ = CLOSED_FORMS[name]()
+        assert env.lipschitz_estimate() == L_f
+
+    def test_exact_fixed_point(self, name):
+        env, rows, _, _, fixed = CLOSED_FORMS[name]()
+        p = env.exact_fixed_point()
+        assert p.probs == pytest.approx(fixed, abs=1e-15)
+        assert np.max(np.abs(rows(p.probs[None])[0] - p.probs)) <= 1e-15

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from perfscore.environment import (
+    LinearMap,
     affine_binary,
     bank_run,
     linear,
@@ -544,7 +545,7 @@ def reference_optimum(rule, f, cfg):
     oracle = None
     if f.n == 2:
         oracle = grid_optimum_binary(rule, f, cfg.grid_resolution)
-    elif rule.kind == "quadratic" and f.kind == "linear":
+    elif rule.kind == "quadratic" and isinstance(f, LinearMap):
         oracle = quadratic_linear_exact_optimum(f)
     if oracle is not None:
         starts.append(oracle.report)
