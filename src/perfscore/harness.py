@@ -261,7 +261,7 @@ def max_curves(
 
 def _run_linear_trial(args):
     """One seeded trial of the random-matrix experiment (worker-safe)."""
-    n, seed, index, timeout_secs, restarts = args
+    n, seed, index, timeout_secs = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     env = random_linear(n, rng)
     u = uniform_point(n).probs
@@ -271,7 +271,7 @@ def _run_linear_trial(args):
     descriptor = f"linear:seed={seed},trial={index},n={n}"
     t0 = time.perf_counter()
     try:
-        cfg = SolveConfig(seed=index, restarts=restarts, timeout_secs=timeout_secs)
+        cfg = SolveConfig(seed=index, timeout_secs=timeout_secs)
         solved = performative_optimum(quadratic_rule(n), env, cfg)
     except SolveTimeoutError:
         return ExperimentRecord(
@@ -359,21 +359,23 @@ def many_outcome_experiment(
     seed: int,
     timeout_secs: float = 120.0,
     jobs: int = 1,
-    restarts: int = 16,
 ):
     """Random column-stochastic linear environments under the quadratic rule.
 
     Per trial: draw A with uniform-on-the-simplex columns, find the fixed
-    point by the eigenproblem, solve for the performative optimum with a
-    per-trial wall-clock budget, and record the accuracy quantities and
-    both bound forms.  Timeouts are recorded, not raised; the summary uses
-    ok records only.  Results are invariant to ``jobs``.
+    point by the eigenproblem, solve for the performative optimum, and
+    record the accuracy quantities and both bound forms.  Every trial is a
+    quadratic x linear problem, which ``performative_optimum`` solves
+    exactly by support enumeration; that path has no wall-clock budget, so
+    ``timeout_secs`` never binds here.  Timeouts would be recorded, not
+    raised; the summary uses ok records only.  Results are invariant to
+    ``jobs``.
     """
     if n < 3:
         raise InvalidArgumentError("the many-outcome experiment needs n >= 3")
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    tasks = [(n, seed, i, timeout_secs, restarts) for i in range(trials)]
+    tasks = [(n, seed, i, timeout_secs) for i in range(trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_linear_trial, tasks, chunksize=16))

@@ -5,9 +5,13 @@ phi(p) = S(p, f(p)), whose gradient decomposes as
 
     grad phi(p) = Dg(p)^T (f(p) - p) + Df(p)^T g(p).
 
-``performative_optimum`` maximizes phi by multi-start projected gradient
-ascent (phi is not concave in general); binary problems additionally get a
-brute-force grid oracle.  All starts advance together: one kernel moves an
+``performative_optimum`` picks its method by problem class.  The
+quadratic rule under a linear map with n > 2 is a standard quadratic
+program, solved exactly by support enumeration.  A binary problem gets the
+brute-force grid oracle, one ascent row from the grid's argmax and an
+interior polish.  Everything else (phi is not concave in general) gets
+multi-start projected gradient ascent, which ``method="ascent"`` also
+forces for every class.  All starts advance together: one kernel moves an
 (R, n) array of reports, one row per start, through the rules' and maps'
 row kernels on bare arrays and a row-wise simplex projection, each row
 with its own step, backtracking and stops; the iterates get the
@@ -46,6 +50,7 @@ from .simplex import (
 OBJECTIVE_TIE_TOL = 1e-12
 MAX_BACKTRACKS = 40
 LOG_INTERIOR_NUDGE = 1e-6
+METHODS = ("auto", "ascent")  # performative_optimum's solve methods
 
 
 @dataclass
@@ -373,37 +378,55 @@ def grid_optimum_binary(
 
 
 def performative_optimum(
-    rule: ScoringRule, f: EnvironmentMap, cfg: SolveConfig = None
+    rule: ScoringRule, f: EnvironmentMap, cfg: SolveConfig = None,
+    method: str = "auto",
 ) -> SolveResult:
-    """argmax_p S(p, f(p)) by multi-start projected gradient ascent.
+    """argmax_p S(p, f(p)), by the exact method where one exists.
 
-    Starts from the barycenter, inward-nudged vertices, face centers, and
-    seeded uniform draws.  Binary problems also run the grid oracle, and
-    the quadratic rule under any other linear map (shrink maps included)
-    the exact oracle; the ascent from
-    the oracle's argmax joins the starts, all of which advance together as
-    one batch of rows, and the best-scoring candidate wins.
+    With ``method="auto"``:
+
+    - the quadratic rule under a linear map with n > 2 (shrink maps
+      included) returns the support-enumeration optimum, exact for this
+      standard quadratic program; it runs no ascent and has no deadline;
+    - a binary problem runs the grid oracle and one ascent row from its
+      argmax, keeps the better of the two and polishes it;
+    - everything else runs the multi-start ascent.
+
+    ``method="ascent"`` runs the multi-start ascent for every class: starts
+    from the barycenter, inward-nudged vertices, face centers and seeded
+    uniform draws, all advancing together as one batch of rows, with the
+    oracle (grid or exact, where one exists) and the ascent from its
+    argmax merged in; the best-scoring candidate wins and is polished.
     Non-convergence is reported through ``converged``, never raised; only
-    the wall-clock budget raises ``SolveTimeoutError``, carrying the best
-    row at that moment.
+    the wall-clock budget of an ascent raises ``SolveTimeoutError``,
+    carrying the best row at that moment.
     """
     cfg = cfg or SolveConfig()
     if rule.n != f.n:
         raise InvalidArgumentError(f"rule n={rule.n} vs environment n={f.n}")
-    rng = np.random.default_rng(cfg.seed)
+    if method not in METHODS:
+        raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
+    exact_class = rule.kind == QUADRATIC and isinstance(f, LinearMap) and f.n > 2
+    if method == "auto" and exact_class:
+        exact = quadratic_linear_exact_optimum(f)
+        # store the recomputable objective, as the other paths do
+        exact.objective = _objective(rule, f, exact.report)
+        return exact
     deadline = (
         time.monotonic() + cfg.timeout_secs if cfg.timeout_secs else None
     )
-    starts = _structured_starts(rule, f.n, cfg, rng)
     oracle = None
     if f.n == 2:
         oracle = grid_optimum_binary(rule, f, cfg.grid_resolution)
-    elif rule.kind == QUADRATIC and isinstance(f, LinearMap):
-        # the quadratic objective under a linear map admits an exact
-        # support-enumeration oracle; merge it like the binary grid
+    elif exact_class:
         oracle = quadratic_linear_exact_optimum(f)
-    if oracle is not None:
-        starts = np.vstack([starts, oracle.report.probs])
+    if method == "auto" and oracle is not None:
+        # binary: the grid's argmax is the only start
+        starts = oracle.report.probs[None, :]
+    else:
+        starts = _structured_starts(rule, f.n, cfg, np.random.default_rng(cfg.seed))
+        if oracle is not None:
+            starts = np.vstack([starts, oracle.report.probs])
     problem = _RowProblem(rule, f)
     candidates = _ascend_rows(
         problem, starts, cfg.max_iters, cfg.step_size, cfg.tol, deadline

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from perfscore.bounds import design_exponential_rule
 from perfscore.environment import (
     LinearMap,
     affine_binary,
@@ -72,6 +75,23 @@ def smooth_envs(n, seed=0):
         random_linear(n, np.random.default_rng(seed)),
         shrink_to(uniform_point(n), 0.4),
     ]
+
+
+BINARY_FAMILIES = ("affine", "ramp", "tabulated", "shrink", "bank-run", "linear2")
+
+
+def random_binary_map(family, rng):
+    if family == "affine":
+        return affine_binary(binary_point(rng.uniform(0.1, 0.9)), rng.uniform(-0.1, 0.9))
+    if family == "ramp":
+        return ramp_binary(rng.uniform(0.05, 0.3), rng.uniform(0.01, 0.3))
+    if family == "tabulated":
+        return tabulated(np.linspace(0.0, 1.0, 5), rng.uniform(0.05, 0.95, 5))
+    if family == "shrink":
+        return shrink_to(binary_point(rng.uniform(0.1, 0.9)), rng.uniform(0.1, 0.9))
+    if family == "bank-run":
+        return bank_run()
+    return random_linear(2, rng)
 
 
 class TestPerformativeGradient:
@@ -215,7 +235,9 @@ class TestPerformativeOptimum:
         for alpha in np.linspace(0.0, 1.0, 21):
             for s in np.linspace(0.0, 1.0, 21):
                 env = affine_binary(binary_point(s), alpha)
-                pga = performative_optimum(q, env, SolveConfig(grid_resolution=1e-4))
+                pga = performative_optimum(
+                    q, env, SolveConfig(grid_resolution=1e-4), method="ascent"
+                )
                 grid = grid_optimum_binary(q, env, 1e-6)
                 worst = max(worst, abs(pga.objective - grid.objective))
         assert worst <= 1e-6
@@ -238,10 +260,11 @@ class TestPerformativeOptimum:
         )
 
     def test_timeout_raises_with_best_iterate(self):
+        # the default method solves this problem exactly, with no deadline
         q = quadratic_rule(5)
         env = random_linear(5, np.random.default_rng(34))
         with pytest.raises(SolveTimeoutError) as err:
-            performative_optimum(q, env, SolveConfig(timeout_secs=1e-9))
+            performative_optimum(q, env, SolveConfig(timeout_secs=1e-9), method="ascent")
         best = err.value.best
         assert best is not None
         assert best.objective == q.expected_score(best.report, env.eval(best.report))
@@ -265,7 +288,7 @@ class TestExactQuadraticLinearOracle:
         for i in range(50):
             env = random_linear(5, np.random.default_rng([5, i]))
             exact = quadratic_linear_exact_optimum(env)
-            pga = performative_optimum(q5, env, SolveConfig(seed=i))
+            pga = performative_optimum(q5, env, SolveConfig(seed=i), method="ascent")
             assert pga.objective >= exact.objective - 1e-9
 
     def test_constant_uniform_map(self):
@@ -278,6 +301,58 @@ class TestExactQuadraticLinearOracle:
     def test_requires_linear(self):
         with pytest.raises(InvalidArgumentError):
             quadratic_linear_exact_optimum(bank_run())
+
+
+class TestMethodDispatch:
+    @pytest.mark.parametrize(
+        "env",
+        [random_linear(3, np.random.default_rng(71)),
+         random_linear(5, np.random.default_rng(72)),
+         shrink_to(SimplexPoint([0.1, 0.2, 0.3, 0.4]), 0.4)],
+        ids=["linear3", "linear5", "shrink4"],
+    )
+    def test_quadratic_linear_returns_exact_optimum(self, env):
+        # no ascent runs, so not even a spent wall-clock budget stops it
+        q = quadratic_rule(env.n)
+        res = performative_optimum(q, env, SolveConfig(timeout_secs=1e-9))
+        exact = quadratic_linear_exact_optimum(env)
+        assert np.array_equal(res.report.probs, exact.report.probs)
+        assert res.objective == q.expected_score(res.report, env.eval(res.report))
+        assert res.converged
+        assert res.iterations == 2 ** env.n - 1
+
+    def test_unknown_method_rejected(self):
+        env = affine_binary(binary_point(0.7), 0.5)
+        with pytest.raises(InvalidArgumentError):
+            performative_optimum(quadratic_rule(2), env, method="grid")
+
+    @pytest.mark.parametrize(
+        "rule",
+        [quadratic_rule(2), logarithmic_rule(2), design_exponential_rule(1.0, 0.2)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("family", BINARY_FAMILIES)
+    def test_binary_default_matches_ascent(self, rule, family):
+        rng = np.random.default_rng([73, BINARY_FAMILIES.index(family)])
+        for k in range(2):
+            env = random_binary_map(family, rng)
+            cfg = SolveConfig(grid_resolution=1e-6, seed=k)
+            auto = performative_optimum(rule, env, cfg)
+            ascent = performative_optimum(rule, env, cfg, method="ascent")
+            scale = max(1.0, abs(ascent.objective))
+            assert auto.objective >= ascent.objective - 2e-7 * scale
+            assert auto.objective == rule.expected_score(auto.report, env.eval(auto.report))
+
+    @given(n=st.integers(min_value=3, max_value=6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_linear_default_is_exact_and_dominates_ascent(self, n, seed):
+        q = quadratic_rule(n)
+        env = random_linear(n, np.random.default_rng(seed))
+        auto = performative_optimum(q, env)
+        exact = quadratic_linear_exact_optimum(env)
+        ascent = performative_optimum(q, env, SolveConfig(seed=seed), method="ascent")
+        assert auto.objective == pytest.approx(exact.objective, abs=1e-12)
+        assert auto.objective >= ascent.objective - 1e-9
 
 
 class TestRepeatedRiskMinimization:
@@ -582,7 +657,7 @@ class TestBatchedAscentMatchesSequentialReference:
     def test_final_and_converged_rows_agree(self, rule, env):
         cfg = SolveConfig(seed=7)
         ref, starts, ref_rows = reference_optimum(rule, env, cfg)
-        got = performative_optimum(rule, env, cfg)
+        got = performative_optimum(rule, env, cfg, method="ascent")
         scale = max(1.0, abs(ref.objective))
         assert abs(got.objective - _ref_objective(rule, env, ref.report)) <= 1e-12 * scale
         assert np.max(np.abs(got.report.probs - ref.report.probs)) <= 1e-6
