@@ -23,16 +23,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .environment import EnvironmentMap
 from .errors import DomainError, InvalidArgumentError
-from .scoring import (
-    EXPONENTIAL_BINARY,
-    MIN_EXPONENT,
-    ScoringRule,
-    exponential_binary_rule,
-)
+from .scoring import MIN_EXPONENT, ScoringRule, _log_rate_max, exponential_binary_rule
 from .simplex import SimplexPoint, binary_point, tangent_operator_norm
 
 INACCURACY = "inaccuracy"
@@ -113,21 +107,13 @@ def log_binary_bound(L_f: float) -> tuple:
     """Best global inaccuracy bound for the binary log rule.
 
     The log rule's pointwise bound is sqrt(2) L_f x (1 - x) |log(x/(1-x))|;
-    its maximum over x is found numerically (the constant is recomputed,
-    not hard-coded) and scales linearly in L_f.  Returns (bound, argmax_x).
+    its maximum over x (the rule's ``bound_rate``) is found numerically and
+    scales linearly in L_f.  Returns (bound, argmax_x).
     """
     if L_f < 0.0:
         raise InvalidArgumentError("L_f must be nonnegative")
-
-    def neg_profile(x):
-        return -math.sqrt(2.0) * x * (1.0 - x) * abs(math.log(x / (1.0 - x)))
-
-    res = minimize_scalar(
-        neg_profile, bounds=(0.5, 1.0 - 1e-12), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    xmax = float(res.x)
-    return (-float(res.fun) * L_f, xmax)
+    rate, xmax = _log_rate_max()
+    return (rate * L_f, xmax)
 
 
 def design_exponential_rule(
@@ -174,8 +160,9 @@ class StakeProfile:
     For any rule whose optima are epsilon-accurate under L_f-Lipschitz
     environments, the sup/inf cost ratio is bounded below by a term
     exponential in L_f/epsilon; ``premise_certified`` records whether that
-    accuracy premise is actually certified for this rule (true for the
-    designed exponential family), or the comparison is informational only.
+    accuracy premise is certified for this rule by its own global binary
+    bound, bound_rate * L_f <= epsilon (as for the designed exponential
+    family), or the comparison is informational only.
     """
 
     delta: float
@@ -236,10 +223,7 @@ def stake_profile(
     inf_cost = float(np.min(costs))
     sup_cost = float(np.max(costs))
     ratio = sup_cost / inf_cost if inf_cost > 0.0 else float("inf")
-    certified = (
-        rule.kind == EXPONENTIAL_BINARY
-        and math.sqrt(2.0) * L_f / rule.K <= epsilon * (1.0 + 1e-12)
-    )
+    certified = rule.bound_rate * L_f <= epsilon * (1.0 + 1e-12)
     return StakeProfile(
         delta=delta,
         grid=grid,

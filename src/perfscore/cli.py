@@ -173,8 +173,7 @@ def _run(args) -> int:
 
     if cmd == "many-outcome":
         records, summary = harness.many_outcome_experiment(
-            n=args.n, trials=args.trials, seed=args.seed,
-            timeout_secs=args.timeout_secs, jobs=args.jobs,
+            n=args.n, trials=args.trials, seed=args.seed, jobs=args.jobs,
         )
         _freeze_runtime(records, args.volatile_runtime)
         if args.format == "csv":

@@ -19,10 +19,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import log_binary_bound
 from .environment import find_fixed_points, ramp_binary, random_linear, shrink_to
-from .errors import InvalidArgumentError, SolveTimeoutError
-from .scoring import LOGARITHMIC, QUADRATIC, ScoringRule, quadratic_rule
+from .errors import InvalidArgumentError
+from .scoring import ScoringRule, quadratic_rule
 from .simplex import (
     SimplexPoint,
     l2_distance,
@@ -30,16 +29,9 @@ from .simplex import (
     uniform_point,
     vertex,
 )
-from .solvers import (
-    SolveConfig,
-    _binary_grid,
-    _first_argmax,
-    grid_optimum_binary,
-    performative_optimum,
-)
+from .solvers import _binary_grid, _first_argmax, grid_optimum_binary, performative_optimum
 
 STATUS_OK = "ok"
-STATUS_TIMEOUT = "timeout"
 
 CSV_COLUMNS = (
     "env",
@@ -124,26 +116,6 @@ class ExperimentSummary:
     n_timeout: int
 
 
-def _global_binary_bound_rate(rule: ScoringRule) -> float:
-    """Global inaccuracy bound per unit of Lipschitz constant, binary case."""
-    if rule.kind == QUADRATIC:
-        return 1.0 / math.sqrt(2.0)
-    if rule.kind == LOGARITHMIC:
-        return log_binary_bound(1.0)[0]
-    return math.sqrt(2.0) / rule.K
-
-
-def _pointwise_binary_bound_rate(rule: ScoringRule, x: float) -> float:
-    """Pointwise bound per unit slope at report (x, 1-x): ||g||/gamma."""
-    if rule.kind == QUADRATIC:
-        return math.sqrt(2.0) * abs(x - 0.5)
-    if rule.kind == LOGARITHMIC:
-        if not 0.0 < x < 1.0:
-            return float("nan")
-        return math.sqrt(2.0) * x * (1.0 - x) * abs(math.log(x / (1.0 - x)))
-    return math.sqrt(2.0) / rule.K
-
-
 def binary_sweep(
     rule: ScoringRule,
     alpha_grid,
@@ -170,7 +142,6 @@ def binary_sweep(
     T0 = rule.binary_objective_grid(xs, 0.0)
     D = rule.binary_objective_grid(xs, 1.0) - T0
     records = []
-    bound_rate = _global_binary_bound_rate(rule)
     for alpha in alpha_grid:
         base = T0 + (alpha * xs) * D
         for s in pstar_grid:
@@ -185,7 +156,7 @@ def binary_sweep(
                 else float("nan")
             )
             logit_inacc = None
-            if rule.kind == LOGARITHMIC:
+            if rule.interior_reports:
                 if 0.0 < x < 1.0 and 0.0 < fx < 1.0:
                     logit_inacc = abs(
                         math.log(x / (1.0 - x)) - math.log(fx / (1.0 - fx))
@@ -200,8 +171,8 @@ def binary_sweep(
                     dist_to_fp=dist_fp,
                     dist_fp_uniform=math.sqrt(2.0) * abs(s - 0.5),
                     dist_report_uniform=math.sqrt(2.0) * abs(x - 0.5),
-                    bound_Lf=bound_rate * alpha,
-                    bound_pointwise=_pointwise_binary_bound_rate(rule, x) * alpha,
+                    bound_Lf=rule.bound_rate * alpha,
+                    bound_pointwise=rule._bound_rate_at(x) * alpha,
                     runtime_ms=(time.perf_counter() - t0) * 1e3,
                     status=STATUS_OK,
                     report=[x, 1.0 - x],
@@ -236,7 +207,6 @@ def max_curves(
     if pstar_step > 1e-3:
         raise InvalidArgumentError("fixed-point grid step must be <= 1e-3")
     pstar_grid = np.arange(0.0, 1.0 + 0.5 * pstar_step, pstar_step)
-    rate = _global_binary_bound_rate(rule)
     rows = []
     for alpha in np.asarray(alpha_grid, dtype=float):
         records = binary_sweep(rule, [alpha], pstar_grid, resolution)
@@ -247,8 +217,8 @@ def max_curves(
                 alpha=float(alpha),
                 max_inaccuracy=inacc,
                 max_dist_to_fp=max(dists) if dists else float("nan"),
-                bound_inaccuracy=rate * alpha,
-                bound_dist=rate * alpha / (1.0 - alpha)
+                bound_inaccuracy=rule.bound_rate * alpha,
+                bound_dist=rule.bound_rate * alpha / (1.0 - alpha)
                 if alpha < 1.0
                 else float("inf"),
             )
@@ -261,7 +231,7 @@ def max_curves(
 
 def _run_linear_trial(args):
     """One seeded trial of the random-matrix experiment (worker-safe)."""
-    n, seed, index, timeout_secs = args
+    n, seed, index = args
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     env = random_linear(n, rng)
     u = uniform_point(n).probs
@@ -270,23 +240,7 @@ def _run_linear_trial(args):
     dist_fp_uniform = float(np.linalg.norm(fp.probs - u))
     descriptor = f"linear:seed={seed},trial={index},n={n}"
     t0 = time.perf_counter()
-    try:
-        cfg = SolveConfig(seed=index, timeout_secs=timeout_secs)
-        solved = performative_optimum(quadratic_rule(n), env, cfg)
-    except SolveTimeoutError:
-        return ExperimentRecord(
-            env_descriptor=descriptor,
-            op_norm=op_norm,
-            inaccuracy=float("nan"),
-            dist_to_fp=float("nan"),
-            dist_fp_uniform=dist_fp_uniform,
-            dist_report_uniform=float("nan"),
-            bound_Lf=float("nan"),
-            bound_pointwise=float("nan"),
-            runtime_ms=(time.perf_counter() - t0) * 1e3,
-            status=STATUS_TIMEOUT,
-            fixed_point=[float(v) for v in fp.probs],
-        )
+    solved = performative_optimum(quadratic_rule(n), env)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     p = solved.report
     bound_rate = math.sqrt((n - 1.0) / n)
@@ -357,7 +311,6 @@ def many_outcome_experiment(
     n: int,
     trials: int,
     seed: int,
-    timeout_secs: float = 120.0,
     jobs: int = 1,
 ):
     """Random column-stochastic linear environments under the quadratic rule.
@@ -366,16 +319,14 @@ def many_outcome_experiment(
     point by the eigenproblem, solve for the performative optimum, and
     record the accuracy quantities and both bound forms.  Every trial is a
     quadratic x linear problem, which ``performative_optimum`` solves
-    exactly by support enumeration; that path has no wall-clock budget, so
-    ``timeout_secs`` never binds here.  Timeouts would be recorded, not
-    raised; the summary uses ok records only.  Results are invariant to
-    ``jobs``.
+    exactly by support enumeration, with no wall-clock budget, so every
+    record is ok.  Results are invariant to ``jobs``.
     """
     if n < 3:
         raise InvalidArgumentError("the many-outcome experiment needs n >= 3")
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    tasks = [(n, seed, i, timeout_secs) for i in range(trials)]
+    tasks = [(n, seed, i) for i in range(trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_linear_trial, tasks, chunksize=16))

@@ -6,24 +6,28 @@ reporting p when outcomes follow q is
 
     S(p, q) = G(p) + g(p)^T (q - p).
 
-Three strictly proper families are shipped:
+Three strictly proper families are shipped, one class each:
 
-* quadratic       S(p, i) = 2 p_i - ||p||^2           (any n)
-* logarithmic     S(p, i) = log p_i                   (any n)
-* exponential     binary rule with G(p) = (2/K) e^{K p1}, K > 0
+* QuadraticRule(n)     S(p, i) = 2 p_i - ||p||^2           (any n)
+* LogarithmicRule(n)   S(p, i) = log p_i                   (any n)
+* ExponentialRule(K)   binary rule with G(p) = (2/K) e^{K p1}, K > 0
 
-Each family's formula is written once, in the row kernels on bare (R, n)
-arrays: ``_objective_rows`` gives S(P_r, Q_r), ``_belief_gradient_rows``
-gives Dg(P_r)^T (Q_r - P_r) and ``_subgradient_rows`` gives g(P_r).  S is
-affine in the belief q, so every other form is a call of these:
-``expected_score`` is one row of the objective, ``potential`` the
-objective at q = p, ``score`` and ``score_rows`` the objective against
-one-hot beliefs, and ``subgradient`` one row of g; the public scalar
-methods validate their points first.  ``binary_objective_grid`` stays a
-fused elementwise formula: the binary grid oracle evaluates it at 1e6
-points, where ``_objective_rows`` on the same points ran 1.9x (quadratic,
-log) to 5.5x (exponential) slower on one thread of a 2-CPU Xeon VM.  The
-Hessian and the curvature constants are closed forms per family.
+A family writes only private kernels and hands the ``ScoringRule`` base
+its constants; the public methods are written once, on the base.  Each
+formula is written once, in the row kernels on bare (R, n) arrays:
+``_objective_rows`` gives S(P_r, Q_r),
+``_belief_gradient_rows`` gives Dg(P_r)^T (Q_r - P_r) and
+``_subgradient_rows`` gives g(P_r).  S is affine in the belief q, so every
+other form is a call of these: ``expected_score`` is one row of the
+objective, ``potential`` the objective at q = p, ``score`` and
+``score_rows`` the objective against one-hot beliefs, and ``subgradient``
+one row of g; the public scalar methods validate their points first.
+``binary_objective_grid`` stays a fused elementwise formula (``_grid``):
+the binary grid oracle evaluates it at 1e6 points, where
+``_objective_rows`` on the same points ran 1.9x (quadratic, log) to 5.5x
+(exponential) slower on one thread of a 2-CPU Xeon VM.  The Hessian, the
+modulus gamma_p and the binary bound rate ||g||/gamma at (x, 1 - x) are
+closed forms per family.
 
 Subgradients are always centered into the tangent space, which minimizes
 ||g(p)|| and makes the accuracy-bound formulas unambiguous.  Minus-infinity
@@ -35,8 +39,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, InvalidArgumentError
 from .simplex import (
@@ -47,41 +53,33 @@ from .simplex import (
     uniform_point,
 )
 
-QUADRATIC = "quadratic"
-LOGARITHMIC = "logarithmic"
-EXPONENTIAL_BINARY = "exponential-binary"
-
-_KINDS = (QUADRATIC, LOGARITHMIC, EXPONENTIAL_BINARY)
-
 # Exponent guard: e^K must stay a normal double across the unit interval.
 MAX_EXPONENT = 700.0
 MIN_EXPONENT = 1e-6
 
 
-@dataclass(frozen=True)
 class ScoringRule:
-    """A strictly proper scoring rule descriptor.
+    """A strictly proper scoring rule over n outcomes.  Immutable.
 
-    ``kind`` selects the family; ``n`` is the outcome count; ``K`` is the
-    exponent of the exponential binary rule and is ignored otherwise.
+    ``kind`` labels the family (for output only); ``bound_rate`` is the
+    global binary inaccuracy bound per unit of Lipschitz constant,
+    sup_x ||g||/gamma at (x, 1 - x); ``interior_reports`` says whether g
+    and Dg need every report coordinate positive.
     """
 
-    kind: str
-    n: int
-    K: float = 0.0
+    interior_reports = False
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidArgumentError(f"unknown scoring rule kind {self.kind!r}")
-        if self.n < 2:
+    def __init__(self, n: int, kind: str, label: str, max_norm: float,
+                 min_gamma: float, max_curvature: float, bound_rate: float):
+        if n < 2:
             raise InvalidArgumentError("scoring rules need n >= 2 outcomes")
-        if self.kind == EXPONENTIAL_BINARY:
-            if self.n != 2:
-                raise InvalidArgumentError("the exponential rule is binary only")
-            if not (MIN_EXPONENT <= self.K <= MAX_EXPONENT):
-                raise InvalidArgumentError(
-                    f"exponent K={self.K} outside [{MIN_EXPONENT}, {MAX_EXPONENT}]"
-                )
+        self.n = n
+        self.kind = kind
+        self.bound_rate = bound_rate
+        self._label = label
+        self._max_norm = max_norm
+        self._min_gamma = min_gamma
+        self._max_curvature = max_curvature
 
     # -- pointwise scores ------------------------------------------------
     # Validated one-row calls of the row kernels below.
@@ -116,11 +114,7 @@ class ScoringRule:
         For the log rule at the boundary the subgradient is unbounded;
         ``DomainError`` is raised rather than returning infinite entries.
         """
-        self._check_point(p)
-        P = p.probs[None, :]
-        if not self._defined_rows(P)[0]:
-            raise DomainError("log-rule subgradient is unbounded at the boundary")
-        return TangentVector(self._subgradient_rows(P)[0])
+        return TangentVector(self._subgradient_rows(self._checked_row(p, "subgradient"))[0])
 
     def hessian(self, p: SimplexPoint) -> np.ndarray:
         """An R^(n,n) representation of the Hessian Dg(p).
@@ -129,58 +123,26 @@ class ScoringRule:
         ``tangent_min_eigenvalue`` / ``tangent_operator_norm`` before taking
         spectra.
         """
-        self._check_point(p)
-        v = p.probs
-        if self.kind == QUADRATIC:
-            return 2.0 * np.eye(self.n)
-        if self.kind == LOGARITHMIC:
-            if not p.is_interior():
-                raise DomainError("log-rule Hessian undefined at the boundary")
-            inv = 1.0 / v
-            return np.diag(inv) - np.outer(np.ones(self.n), inv) / self.n
-        e = math.exp(self.K * v[0])
-        return np.array([[self.K * e, 0.0], [-self.K * e, 0.0]])
+        return self._hessian(self._checked_row(p, "Hessian")[0])
 
     def gamma_at(self, p: SimplexPoint) -> float:
         """Strong-convexity modulus at p: smallest tangent eigenvalue of Dg(p)."""
-        if self.kind == QUADRATIC:
-            return 2.0
-        if self.kind == EXPONENTIAL_BINARY:
-            self._check_point(p)
-            return self.K * math.exp(self.K * p[0])
-        g = tangent_min_eigenvalue(self.hessian(p))
-        if g <= 0.0:
-            raise DomainError(f"nonpositive curvature {g} at {p!r}")
-        return g
+        return self._gamma(self._checked_row(p, "Hessian")[0])
 
     def subgradient_norm(self, p: SimplexPoint) -> float:
         return self.subgradient(p).norm
 
     def max_subgradient_norm(self) -> float:
         """L_G = sup_p ||g(p)||, or inf when the subgradient is unbounded."""
-        if self.kind == QUADRATIC:
-            return 2.0 * math.sqrt((self.n - 1.0) / self.n)
-        if self.kind == LOGARITHMIC:
-            return float("inf")
-        return math.sqrt(2.0) * math.exp(self.K)
+        return self._max_norm
 
     def min_gamma(self) -> float:
         """inf_p of the strong-convexity modulus over the simplex."""
-        if self.kind == QUADRATIC:
-            return 2.0
-        if self.kind == LOGARITHMIC:
-            # 1/(2 p1 p2) for n=2 is minimized at the barycenter; for
-            # general n the barycenter is the minimizer as well
-            return self.gamma_at(uniform_point(self.n))
-        return self.K  # K e^{K p1} at p1 = 0
+        return self._min_gamma
 
     def max_tangent_curvature(self) -> float:
         """beta = sup_p of the largest tangent eigenvalue of Dg(p); inf if unbounded."""
-        if self.kind == QUADRATIC:
-            return 2.0
-        if self.kind == LOGARITHMIC:
-            return float("inf")
-        return self.K * math.exp(self.K)
+        return self._max_curvature
 
     # -- vectorized binary objective --------------------------------------
 
@@ -192,16 +154,7 @@ class ScoringRule:
         """
         if self.n != 2:
             raise InvalidArgumentError("grid objective is for binary rules")
-        x = np.asarray(x, dtype=float)
-        fx = np.asarray(fx, dtype=float)
-        if self.kind == QUADRATIC:
-            return 2.0 * fx * (2.0 * x - 1.0) + 2.0 * (1.0 - x) - (
-                x * x + (1.0 - x) * (1.0 - x)
-            )
-        if self.kind == LOGARITHMIC:
-            return fx * np.log(x) + (1.0 - fx) * np.log1p(-x)
-        e = np.exp(self.K * x)
-        return e * (2.0 / self.K + 2.0 * (fx - x))
+        return self._grid(np.asarray(x, dtype=float), np.asarray(fx, dtype=float))
 
     def score_rows(self, P: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Vectorized S(P_t, Y_t) over aligned arrays of reports and outcomes."""
@@ -212,49 +165,13 @@ class ScoringRule:
     # -- row kernels ---------------------------------------------------------
     # Bare (R, n) arrays of reports P and beliefs Q, one pair per row, no
     # validation: the solvers' batched ascent checks its iterates itself.
-
-    def _objective_rows(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """S(P_r, Q_r) = G(P_r) + g(P_r)^T (Q_r - P_r) for every row r."""
-        if self.kind == QUADRATIC:
-            return np.einsum("ij,ij->i", 2.0 * P, Q) - np.einsum("ij,ij->i", P, P)
-        if self.kind == LOGARITHMIC:
-            # 0 * (-inf) = 0: outcomes of zero belief contribute nothing
-            with np.errstate(divide="ignore"):
-                logs = np.log(np.where(Q > 0.0, P, 1.0))
-            return np.einsum("ij,ij->i", Q, logs)
-        e = np.exp(self.K * P[:, 0])
-        return 2.0 * e / self.K + e * (Q[:, 0] - P[:, 0]) - e * (Q[:, 1] - P[:, 1])
-
-    def _belief_gradient_rows(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """Dg(P_r)^T (Q_r - P_r) for every row r, not centred.
-
-        The gradient in the report of S(p, q) at a frozen belief q; the log
-        rule's rows must be interior.
-        """
-        D = Q - P
-        if self.kind == QUADRATIC:
-            return 2.0 * D
-        if self.kind == LOGARITHMIC:
-            # equals the Hessian form (D - sum(D)/n) / P on the simplex
-            return D / P
-        Ke = self.K * np.exp(self.K * P[:, 0])
-        out = np.zeros_like(P)
-        out[:, 0] = Ke * D[:, 0] - Ke * D[:, 1]
-        return out
-
-    def _subgradient_rows(self, P: np.ndarray) -> np.ndarray:
-        """g(P_r) for every row r; the log rule's rows must be interior."""
-        if self.kind == QUADRATIC:
-            return 2.0 * P - 2.0 / self.n
-        if self.kind == LOGARITHMIC:
-            logs = np.log(P)
-            return logs - logs.mean(axis=1, keepdims=True)
-        e = np.exp(self.K * P[:, 0])
-        return np.column_stack([e, -e])
+    # Each family defines _objective_rows, _belief_gradient_rows (not
+    # centred) and _subgradient_rows, and on one report v or binary
+    # coordinate x: _hessian(v), _gamma(v), _grid(x, fx), _bound_rate_at(x).
 
     def _defined_rows(self, P: np.ndarray) -> np.ndarray:
         """Rows where g and Dg are finite: the log rule needs interior reports."""
-        if self.kind == LOGARITHMIC:
+        if self.interior_reports:
             return (P > 0.0).all(axis=1)
         return np.ones(P.shape[0], dtype=bool)
 
@@ -266,22 +183,165 @@ class ScoringRule:
         if p.n != self.n:
             raise InvalidArgumentError(f"dimension mismatch: {p.n} vs n={self.n}")
 
+    def _checked_row(self, p: SimplexPoint, what: str) -> np.ndarray:
+        """p as a (1, n) row where g and Dg are finite, else DomainError."""
+        self._check_point(p)
+        P = p.probs[None, :]
+        if not self._defined_rows(P)[0]:
+            raise DomainError(f"{self} rule {what} is unbounded at the boundary")
+        return P
+
     def __str__(self):
-        if self.kind == EXPONENTIAL_BINARY:
-            return f"exp:K={self.K:g}"
-        return "log" if self.kind == LOGARITHMIC else self.kind
+        return self._label
+
+
+class QuadraticRule(ScoringRule):
+    """S(p, i) = 2 p_i - ||p||^2, with G(p) = ||p||^2 and Dg = 2 I."""
+
+    def __init__(self, n: int):
+        super().__init__(n, "quadratic", "quadratic", max_norm=2.0 * math.sqrt((n - 1.0) / n),
+                         min_gamma=2.0, max_curvature=2.0, bound_rate=1.0 / math.sqrt(2.0))
+
+    def _objective_rows(self, P, Q):
+        return np.einsum("ij,ij->i", 2.0 * P, Q) - np.einsum("ij,ij->i", P, P)
+
+    def _belief_gradient_rows(self, P, Q):
+        return 2.0 * (Q - P)
+
+    def _subgradient_rows(self, P):
+        return 2.0 * P - 2.0 / self.n
+
+    def _hessian(self, v):
+        return 2.0 * np.eye(self.n)
+
+    def _gamma(self, v):
+        return 2.0
+
+    def _grid(self, x, fx):
+        return 2.0 * fx * (2.0 * x - 1.0) + 2.0 * (1.0 - x) - (
+            x * x + (1.0 - x) * (1.0 - x)
+        )
+
+    @staticmethod
+    def _bound_rate_at(x):
+        return math.sqrt(2.0) * abs(x - 0.5)
+
+
+class LogarithmicRule(ScoringRule):
+    """S(p, i) = log p_i, with G(p) = sum_i p_i log p_i; reports must be
+    interior for g and Dg to be finite."""
+
+    interior_reports = True
+
+    def __init__(self, n: int):
+        # 1/(2 p1 p2) for n=2 is minimized at the barycenter; for general n
+        # the barycenter is the minimizer as well
+        gamma = self._gamma(uniform_point(n).probs)
+        super().__init__(n, "logarithmic", "log", max_norm=float("inf"), min_gamma=gamma,
+                         max_curvature=float("inf"), bound_rate=_log_rate_max()[0])
+
+    def _objective_rows(self, P, Q):
+        # 0 * (-inf) = 0: outcomes of zero belief contribute nothing
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.where(Q > 0.0, P, 1.0))
+        return np.einsum("ij,ij->i", Q, logs)
+
+    def _belief_gradient_rows(self, P, Q):
+        # equals the Hessian form (D - sum(D)/n) / P on the simplex
+        return (Q - P) / P
+
+    def _subgradient_rows(self, P):
+        logs = np.log(P)
+        return logs - logs.mean(axis=1, keepdims=True)
+
+    def _hessian(self, v):
+        inv = 1.0 / v
+        return np.diag(inv) - np.outer(np.ones(v.size), inv) / v.size
+
+    def _gamma(self, v):
+        g = tangent_min_eigenvalue(self._hessian(v))
+        if g <= 0.0:
+            raise DomainError(f"nonpositive curvature {g} at {v!r}")
+        return g
+
+    def _grid(self, x, fx):
+        return fx * np.log(x) + (1.0 - fx) * np.log1p(-x)
+
+    @staticmethod
+    def _bound_rate_at(x):
+        if not 0.0 < x < 1.0:
+            return float("nan")
+        return math.sqrt(2.0) * x * (1.0 - x) * abs(math.log(x / (1.0 - x)))
+
+
+@cache
+def _log_rate_max() -> tuple:
+    """(max, argmax) over x of the binary log rule's bound rate, found
+    numerically; the profile is symmetric about 1/2."""
+    res = minimize_scalar(
+        lambda x: -LogarithmicRule._bound_rate_at(x),
+        bounds=(0.5, 1.0 - 1e-12), method="bounded", options={"xatol": 1e-10},
+    )
+    return -float(res.fun), float(res.x)
+
+
+class ExponentialRule(ScoringRule):
+    """Binary rule with G(p) = (2/K) e^{K p1}: g(p) = (e, -e) and Dg has
+    the single tangent eigenvalue K e, e = e^{K p1}, so ||g||/gamma is
+    sqrt(2)/K everywhere."""
+
+    def __init__(self, K: float):
+        K = float(K)
+        if not (MIN_EXPONENT <= K <= MAX_EXPONENT):
+            raise InvalidArgumentError(
+                f"exponent K={K} outside [{MIN_EXPONENT}, {MAX_EXPONENT}]"
+            )
+        self.K = K
+        # gamma_p = K e^{K p1} is least at p1 = 0
+        super().__init__(2, "exponential-binary", f"exp:K={K:g}",
+                         max_norm=math.sqrt(2.0) * math.exp(K), min_gamma=K,
+                         max_curvature=K * math.exp(K), bound_rate=math.sqrt(2.0) / K)
+
+    def _objective_rows(self, P, Q):
+        e = np.exp(self.K * P[:, 0])
+        return 2.0 * e / self.K + e * (Q[:, 0] - P[:, 0]) - e * (Q[:, 1] - P[:, 1])
+
+    def _belief_gradient_rows(self, P, Q):
+        D = Q - P
+        Ke = self.K * np.exp(self.K * P[:, 0])
+        out = np.zeros_like(P)
+        out[:, 0] = Ke * D[:, 0] - Ke * D[:, 1]
+        return out
+
+    def _subgradient_rows(self, P):
+        e = np.exp(self.K * P[:, 0])
+        return np.column_stack([e, -e])
+
+    def _hessian(self, v):
+        e = math.exp(self.K * v[0])
+        return np.array([[self.K * e, 0.0], [-self.K * e, 0.0]])
+
+    def _gamma(self, v):
+        return self.K * math.exp(self.K * v[0])
+
+    def _grid(self, x, fx):
+        e = np.exp(self.K * x)
+        return e * (2.0 / self.K + 2.0 * (fx - x))
+
+    def _bound_rate_at(self, x):
+        return self.bound_rate
 
 
 def quadratic_rule(n: int) -> ScoringRule:
-    return ScoringRule(QUADRATIC, n)
+    return QuadraticRule(n)
 
 
 def logarithmic_rule(n: int) -> ScoringRule:
-    return ScoringRule(LOGARITHMIC, n)
+    return LogarithmicRule(n)
 
 
 def exponential_binary_rule(K: float) -> ScoringRule:
-    return ScoringRule(EXPONENTIAL_BINARY, 2, K=float(K))
+    return ExponentialRule(K)
 
 
 def parse_rule(spec: str, n: int) -> ScoringRule:

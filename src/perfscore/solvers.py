@@ -35,7 +35,7 @@ import numpy as np
 
 from .environment import EnvironmentMap, LinearMap
 from .errors import DomainError, InvalidArgumentError, SolveTimeoutError
-from .scoring import LOGARITHMIC, QUADRATIC, ScoringRule
+from .scoring import QuadraticRule, ScoringRule
 from .simplex import (
     SimplexPoint,
     TangentVector,
@@ -326,7 +326,7 @@ def _structured_starts(rule, n, cfg, rng) -> np.ndarray:
     for i in range(n):
         v = np.full(n, 1.0 / (n - 1.0))
         v[i] = 0.0
-        if rule.kind == LOGARITHMIC:
+        if rule.interior_reports:
             v = (1.0 - nudge) * v + nudge / n
         starts.append(v / v.sum())
     extra = cfg.restarts - len(starts)
@@ -341,7 +341,7 @@ def _binary_grid(rule: ScoringRule, resolution: float) -> np.ndarray:
     """The binary oracle's p1 grid; the log rule's is clipped to
     [resolution, 1 - resolution] to keep scores finite."""
     xs = np.linspace(0.0, 1.0, int(round(1.0 / resolution)) + 1)
-    if rule.kind == LOGARITHMIC:
+    if rule.interior_reports:
         xs = xs[(xs >= resolution) & (xs <= 1.0 - resolution)]
     return xs
 
@@ -406,7 +406,7 @@ def performative_optimum(
         raise InvalidArgumentError(f"rule n={rule.n} vs environment n={f.n}")
     if method not in METHODS:
         raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
-    exact_class = rule.kind == QUADRATIC and isinstance(f, LinearMap) and f.n > 2
+    exact_class = isinstance(rule, QuadraticRule) and isinstance(f, LinearMap) and f.n > 2
     if method == "auto" and exact_class:
         exact = quadratic_linear_exact_optimum(f)
         # store the recomputable objective, as the other paths do
@@ -627,7 +627,7 @@ def online_sgd(
         raise InvalidArgumentError("T must be >= 0")
     rng = np.random.default_rng(seed)
     n = f.n
-    margin = LOG_INTERIOR_NUDGE if rule.kind == LOGARITHMIC else 0.0
+    margin = LOG_INTERIOR_NUDGE if rule.interior_reports else 0.0
     scale = 1.0 - n * margin
     reports = np.empty((T + 1, n))
     outcomes = np.empty(T, dtype=np.int64)

@@ -93,7 +93,6 @@ def five_outcome_run():
         n=5,
         trials=EXPERIMENT_TRIALS,
         seed=EXPERIMENT_SEED,
-        timeout_secs=120.0,
         jobs=JOBS,
     )
 

@@ -199,6 +199,12 @@ class TestStakeProfile:
         assert costs[0] == pytest.approx(2.0 * (4.0 * delta) ** 2, rel=1e-9)
         assert not prof.premise_certified
 
+    def test_quadratic_certified_within_its_own_bound(self):
+        # the binary quadratic bound L_f / sqrt(2) = 0.0707 is below epsilon
+        prof = stake_profile(quadratic_rule(2), L_f=0.1, epsilon=0.1, p_l=0.35, p_h=0.55)
+        assert prof.premise_certified
+        assert prof.sup_inf_ratio == pytest.approx(1.0, rel=1e-9)
+
     def test_designed_exponential_beats_lower_bound(self):
         eps = 0.05
         rule = design_exponential_rule(1.0, eps)

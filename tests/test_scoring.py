@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from perfscore.bounds import log_binary_bound
 from perfscore.errors import DomainError, InvalidArgumentError
 from perfscore.scoring import (
-    ScoringRule,
+    LogarithmicRule,
+    QuadraticRule,
     check_propriety,
     exponential_binary_rule,
     logarithmic_rule,
@@ -250,8 +252,6 @@ class TestRuleParsing:
         with pytest.raises(InvalidArgumentError):
             parse_rule("exp:K=2", 3)
         with pytest.raises(InvalidArgumentError):
-            ScoringRule("exponential-binary", 3, K=2.0)
-        with pytest.raises(InvalidArgumentError):
             exponential_binary_rule(0.0)
 
 
@@ -300,3 +300,58 @@ class TestVectorizedPaths:
             assert rule.expected_score(binary_point(x), binary_point(fx)) == pytest.approx(
                 ref, abs=1e-12
             )
+
+
+FAMILIES = [
+    pytest.param(quadratic_rule(2), id="quadratic-n2"),
+    pytest.param(quadratic_rule(5), id="quadratic-n5"),
+    pytest.param(logarithmic_rule(2), id="log-n2"),
+    pytest.param(logarithmic_rule(5), id="log-n5"),
+    pytest.param(exponential_binary_rule(2.0), id="exp-K2"),
+    pytest.param(exponential_binary_rule(28.3), id="exp-K28.3"),
+]
+
+
+def closed_form_constants(rule):
+    """(L_G, min gamma, beta, global binary bound rate) written out per family."""
+    n = rule.n
+    if isinstance(rule, QuadraticRule):
+        return 2.0 * math.sqrt((n - 1.0) / n), 2.0, 2.0, 1.0 / math.sqrt(2.0)
+    if isinstance(rule, LogarithmicRule):
+        # on the tangent space diag(1/p) - 1 (1/p)^T / n is n I at the barycenter
+        return math.inf, float(n), math.inf, log_binary_bound(1.0)[0]
+    K = rule.K
+    return math.sqrt(2.0) * math.exp(K), K, K * math.exp(K), math.sqrt(2.0) / K
+
+
+class TestFamilyConstants:
+    @pytest.mark.parametrize("rule", FAMILIES)
+    def test_constants_match_closed_forms(self, rule):
+        L_G, gamma, beta, rate = closed_form_constants(rule)
+        assert rule.max_subgradient_norm() == pytest.approx(L_G, rel=1e-12)
+        assert rule.min_gamma() == pytest.approx(gamma, rel=1e-12)
+        assert rule.max_tangent_curvature() == pytest.approx(beta, rel=1e-12)
+        assert rule.bound_rate == pytest.approx(rate, rel=1e-12)
+
+    @pytest.mark.parametrize("rule", FAMILIES)
+    def test_pointwise_rate_is_norm_over_gamma(self, rule):
+        # the binary rate of the rule's family, at reports (x, 1 - x)
+        binary = rule if rule.n == 2 else type(rule)(2)
+        for x in (0.03, 0.2, 0.45, 0.5, 0.71, 0.97):
+            p = binary_point(x)
+            expected = binary.subgradient_norm(p) / binary.gamma_at(p)
+            assert rule._bound_rate_at(x) == pytest.approx(expected, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("rule", FAMILIES)
+    def test_global_rate_bounds_pointwise_rate(self, rule):
+        xs = np.linspace(0.001, 0.999, 999)
+        assert max(rule._bound_rate_at(x) for x in xs) <= rule.bound_rate * (1.0 + 1e-12)
+
+    def test_only_the_log_rule_needs_interior_reports(self):
+        assert logarithmic_rule(3).interior_reports
+        assert not quadratic_rule(3).interior_reports
+        assert not exponential_binary_rule(2.0).interior_reports
+
+    def test_labels(self):
+        assert [str(r) for r in (quadratic_rule(2), logarithmic_rule(2),
+                                 exponential_binary_rule(28.3))] == ["quadratic", "log", "exp:K=28.3"]
