@@ -51,7 +51,9 @@ class EnvironmentMap:
     The public calls are written once, here, over two kernels on bare
     (R, n) arrays: ``_rows`` (f of each row) and ``_jacobian_t_rows``.
     The kernels below are the binary ones, built from a family's ``_f1``
-    and ``_slope1``; ``LinearMap`` replaces them.  ``p_star`` is the
+    and ``_slope1``; ``LinearMap`` replaces them.  A binary family also
+    writes ``_pieces(lo, hi)``: [lo, hi] cut where f1 changes formula, as
+    (a, z, P) with f1 = np.polyval(P, x) on [a, z].  ``p_star`` is the
     map's closed-form fixed point, or None.
     """
 
@@ -168,6 +170,9 @@ class LinearMap(EnvironmentMap):
     def _slope1(self, x):
         return np.broadcast_to(self.A[0, 0] - self.A[0, 1], x.shape)
 
+    def _pieces(self, lo, hi):
+        return [(lo, hi, np.array([self.A[0, 0] - self.A[0, 1], self.A[0, 1]]))]
+
 
 class PiecewiseLinearMap(EnvironmentMap):
     """Binary map whose f1 interpolates the knots (xs, ys) linearly and is
@@ -195,9 +200,19 @@ class PiecewiseLinearMap(EnvironmentMap):
         k = np.searchsorted(self.xs[:-1], x, side="right")
         return np.where(x <= self.xs[-1], self._slopes[k], 0.0)
 
+    def _pieces(self, lo, hi):
+        # the knots inside (lo, hi) cut it; the tails are flat pieces
+        cuts = np.concatenate([[lo], self.xs[(self.xs > lo) & (self.xs < hi)], [hi]])
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        b = self._slope1(mids)
+        c = self._f1(mids) - b * mids
+        return [(a, z, np.array([s, t])) for a, z, s, t in zip(cuts[:-1], cuts[1:], b, c)]
+
 
 class BankRunMap(EnvironmentMap):
     """The cubic crowd-response map with fixed points at 0.1, 0.6, 0.9."""
+
+    _CUBIC = np.polyadd(-1.5 * np.poly([0.1, 0.6, 0.9]), [1.0, 0.0])
 
     def __init__(self):
         xs = np.linspace(0.0, 1.0, 10001)
@@ -208,6 +223,9 @@ class BankRunMap(EnvironmentMap):
 
     def _slope1(self, x):
         return -4.5 * x * x + 4.8 * x - 0.035
+
+    def _pieces(self, lo, hi):
+        return [(lo, hi, self._CUBIC)]
 
 
 # -- constructors -------------------------------------------------------------

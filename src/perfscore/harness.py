@@ -29,7 +29,7 @@ from .simplex import (
     uniform_point,
     vertex,
 )
-from .solvers import _binary_grid, _first_argmax, grid_optimum_binary, performative_optimum
+from .solvers import _binary_grid, _first_argmax, performative_optimum
 
 STATUS_OK = "ok"
 
@@ -240,10 +240,10 @@ def _run_linear_trial(args):
     dist_fp_uniform = float(np.linalg.norm(fp.probs - u))
     descriptor = f"linear:seed={seed},trial={index},n={n}"
     t0 = time.perf_counter()
-    solved = performative_optimum(quadratic_rule(n), env)
+    rule = quadratic_rule(n)
+    solved = performative_optimum(rule, env)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     p = solved.report
-    bound_rate = math.sqrt((n - 1.0) / n)
     return ExperimentRecord(
         env_descriptor=descriptor,
         op_norm=op_norm,
@@ -251,7 +251,10 @@ def _run_linear_trial(args):
         dist_to_fp=l2_distance(p, fp),
         dist_fp_uniform=dist_fp_uniform,
         dist_report_uniform=float(np.linalg.norm(p.probs - u)),
-        bound_Lf=op_norm * bound_rate,
+        bound_Lf=op_norm * (rule.max_subgradient_norm() / rule.min_gamma()),
+        # ||g(p)|| / gamma_p = ||p - u||, written out: g centres with 2/n, u
+        # is the renormalized barycenter, and they differ in the last bit
+        # for n = 6 and 7
         bound_pointwise=op_norm * float(np.linalg.norm(p.probs - u)),
         runtime_ms=runtime_ms,
         status=STATUS_OK,
@@ -415,15 +418,13 @@ class RampDemoReport:
     threshold: float
 
 
-def ramp_distance_demo(
-    rule: ScoringRule, zeta: float, eps: float, resolution: float = 1e-6
-) -> RampDemoReport:
+def ramp_distance_demo(rule: ScoringRule, zeta: float, eps: float) -> RampDemoReport:
     """Show that near-identity maps allow optima almost maximally far from
     the unique fixed point: the distance is at least 1 - zeta - 2 * start
     in first-coordinate terms."""
     env = ramp_binary(zeta, eps)
     start = float(env.eval1(0.0))  # f1(0), the ramp's start value
-    solved = grid_optimum_binary(rule, env, resolution)
+    solved = performative_optimum(rule, env)
     fp = env.exact_fixed_point()
     return RampDemoReport(
         zeta=zeta,

@@ -27,7 +27,9 @@ the binary grid oracle evaluates it at 1e6 points, where
 ``_objective_rows`` on the same points ran 1.9x (quadratic, log) to 5.5x
 (exponential) slower on one thread of a 2-CPU Xeon VM.  The Hessian, the
 modulus gamma_p and the binary bound rate ||g||/gamma at (x, 1 - x) are
-closed forms per family.
+closed forms per family, and so is ``_critical_points``: the stationary
+points of the binary objective phi(x) = S((x, 1 - x), f(x)) on a piece
+where f1 is a polynomial, which the exact binary solver enumerates.
 
 Subgradients are always centered into the tangent space, which minimizes
 ||g(p)|| and makes the accuracy-bound formulas unambiguous.  Minus-infinity
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import DomainError, InvalidArgumentError
 from .simplex import (
@@ -56,6 +58,11 @@ from .simplex import (
 # Exponent guard: e^K must stay a normal double across the unit interval.
 MAX_EXPONENT = 700.0
 MIN_EXPONENT = 1e-6
+# the sign-scan step of environment.find_fixed_points, reused to bracket
+# the log rule's stationary points under a curved map
+_SCAN_STEP = 1e-4
+_ROOT_XTOL = 1e-15
+_X = np.array([1.0, 0.0])  # the polynomial x
 
 
 class ScoringRule:
@@ -167,7 +174,9 @@ class ScoringRule:
     # validation: the solvers' batched ascent checks its iterates itself.
     # Each family defines _objective_rows, _belief_gradient_rows (not
     # centred) and _subgradient_rows, and on one report v or binary
-    # coordinate x: _hessian(v), _gamma(v), _grid(x, fx), _bound_rate_at(x).
+    # coordinate x: _hessian(v), _gamma(v), _grid(x, fx), _bound_rate_at(x),
+    # and, for f1 = np.polyval(P, x) on [a, z], _critical_points(P, a, z):
+    # the points of (a, z) where phi' = 0.
 
     def _defined_rows(self, P: np.ndarray) -> np.ndarray:
         """Rows where g and Dg are finite: the log rule needs interior reports."""
@@ -226,6 +235,13 @@ class QuadraticRule(ScoringRule):
     def _bound_rate_at(x):
         return math.sqrt(2.0) * abs(x - 0.5)
 
+    @staticmethod
+    def _critical_points(P, a, z):
+        # phi' = 2 f1' (2x - 1) + 4 (f1 - x); (8b - 4) x + 4c - 2b on a line
+        dphi = np.polyadd(np.polymul(2.0 * np.polyder(P), [2.0, -1.0]),
+                          4.0 * np.polysub(P, _X))
+        return _real_roots(dphi, a, z)
+
 
 class LogarithmicRule(ScoringRule):
     """S(p, i) = log p_i, with G(p) = sum_i p_i log p_i; reports must be
@@ -272,6 +288,31 @@ class LogarithmicRule(ScoringRule):
         if not 0.0 < x < 1.0:
             return float("nan")
         return math.sqrt(2.0) * x * (1.0 - x) * abs(math.log(x / (1.0 - x)))
+
+    @staticmethod
+    def _critical_points(P, a, z):
+        f1, slope = P.tolist(), np.polyder(P).tolist()
+
+        def h(x):  # x (1 - x) phi'(x), finite on (0, 1)
+            return _horner(slope, x) * x * (1.0 - x) * _logit(x) + _horner(f1, x) - x
+
+        if P.size > 2:
+            # a curved f1 has no monotone pieces: bracket on the scan
+            xs = np.arange(0.0, 1.0 + 0.5 * _SCAN_STEP, _SCAN_STEP)
+            return _bracketed_roots(h, np.concatenate([[a], xs[(xs > a) & (xs < z)], [z]]))
+        b = P[0]
+
+        def dh(x):  # h' = b ((1 - 2x) logit(x) + 2) - 1, monotone on each half
+            return b * ((1.0 - 2.0 * x) * _logit(x) + 2.0) - 1.0
+
+        # h is convex or concave on each half of (0, 1); cut at 1/2 and at
+        # the root of h' leaves pieces where h is monotone
+        cuts = [a, z] + ([0.5] if a < 0.5 < z else [])
+        halves = np.sort(cuts)
+        for u, v in zip(halves[:-1], halves[1:]):
+            if dh(u) * dh(v) < 0.0:
+                cuts.append(brentq(dh, u, v, xtol=_ROOT_XTOL))
+        return _bracketed_roots(h, np.sort(cuts))
 
 
 @cache
@@ -330,6 +371,41 @@ class ExponentialRule(ScoringRule):
 
     def _bound_rate_at(self, x):
         return self.bound_rate
+
+    def _critical_points(self, P, a, z):
+        # phi' = 2 e^{Kx} (K (f1 - x) + f1'): x = -(b + Kc) / (K (b - 1)) on a line
+        return _real_roots(np.polyadd(self.K * np.polysub(P, _X), np.polyder(P)), a, z)
+
+
+def _logit(x):
+    return np.log(x) - np.log1p(-x)
+
+
+def _horner(P, x):
+    """np.polyval(P, x) for a list P, without np.polyval's per-call array
+    setup, which dominated brentq's scalar calls."""
+    y = 0.0
+    for c in P:
+        y = y * x + c
+    return y
+
+
+def _real_roots(C, a, z) -> list:
+    """Real roots of the polynomial C inside (a, z); a root pair split off
+    the real line by rounding counts as one real root."""
+    r = np.roots(C)
+    r = r.real[np.abs(r.imag) <= 1e-6]
+    return [float(x) for x in r if a < x < z]
+
+
+def _bracketed_roots(h, cuts) -> list:
+    """Roots of h at the sorted ``cuts`` and one in every cell where h
+    changes sign."""
+    v = h(cuts)
+    roots = [float(x) for x in cuts[v == 0.0]]
+    for i in np.flatnonzero(v[:-1] * v[1:] < 0.0):
+        roots.append(brentq(h, cuts[i], cuts[i + 1], xtol=_ROOT_XTOL))
+    return roots
 
 
 def quadratic_rule(n: int) -> ScoringRule:

@@ -7,21 +7,22 @@ phi(p) = S(p, f(p)), whose gradient decomposes as
 
 ``performative_optimum`` picks its method by problem class.  The
 quadratic rule under a linear map with n > 2 is a standard quadratic
-program, solved exactly by support enumeration.  A binary problem gets the
-brute-force grid oracle, one ascent row from the grid's argmax and an
-interior polish.  Everything else (phi is not concave in general) gets
-multi-start projected gradient ascent, which ``method="ascent"`` also
-forces for every class.  All starts advance together: one kernel moves an
-(R, n) array of reports, one row per start, through the rules' and maps'
-row kernels on bare arrays and a row-wise simplex projection, each row
-with its own step, backtracking and stops; the iterates get the
-``SimplexPoint`` checks as array checks, and point objects are built only
-for the returned results.  The market best responses in ``games`` run on
-the same kernel.  The remaining routines implement the dynamics
-that converge to fixed points instead of optima: fixed-point iteration of
-f (repeated risk minimization), ascent on the frozen-belief objective
-Dg(p)^T (f(p) - p) (repeated gradient ascent), and its stochastic
-single-outcome counterpart (online SGD).
+program, solved exactly by support enumeration.  A binary problem is
+solved exactly by critical-point enumeration: phi is evaluated only at
+the ends, the map's knots and each piece's stationary points (closed
+forms, or roots bracketed for ``brentq``).  Everything else (phi is not
+concave in general) gets multi-start projected gradient ascent, which
+``method="ascent"`` also forces for every class.  All starts advance
+together: one kernel moves an (R, n) array of reports, one row per start,
+through the rules' and maps' row kernels on bare arrays and a row-wise
+simplex projection, each row with its own step, backtracking and stops;
+the iterates get the ``SimplexPoint`` checks as array checks, and point
+objects are built only for the returned results.  The market best
+responses in ``games`` run on the same kernel.  The remaining routines
+implement the dynamics that converge to fixed points instead of optima:
+fixed-point iteration of f (repeated risk minimization), ascent on the
+frozen-belief objective Dg(p)^T (f(p) - p) (repeated gradient ascent), and
+its stochastic single-outcome counterpart (online SGD).
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ METHODS = ("auto", "ascent")  # performative_optimum's solve methods
 
 @dataclass
 class SolveConfig:
+    """Solver settings.  ``grid_resolution`` sets the binary grid oracle's
+    step under ``method="ascent"``; under ``method="auto"`` it only clips
+    the log rule's binary reports to [res, 1 - res]."""
+
     max_iters: int = 500
     step_size: float = 0.5
     tol: float = 1e-10
@@ -363,14 +368,47 @@ def grid_optimum_binary(
     """
     if f.n != 2 or rule.n != 2:
         raise InvalidArgumentError("the grid oracle is binary only")
-    if not 0 < resolution <= 1e-3:
-        raise InvalidArgumentError("resolution must be in (0, 1e-3]")
+    _check_resolution(resolution)
     xs = _binary_grid(rule, resolution)
     phi = rule.binary_objective_grid(xs, f.eval1(xs))
     idx = _first_argmax(phi)
     return SolveResult(
         report=binary_point(float(xs[idx])),
         objective=float(phi[idx]),
+        converged=True,
+        iterations=xs.size,
+        gradient_norm_final=float("nan"),
+    )
+
+
+def _check_resolution(resolution: float):
+    if not 0 < resolution <= 1e-3:
+        raise InvalidArgumentError("resolution must be in (0, 1e-3]")
+
+
+def _exact_binary_optimum(
+    rule: ScoringRule, f: EnvironmentMap, resolution: float
+) -> SolveResult:
+    """Binary optimum by critical-point enumeration.
+
+    phi(x) = S((x, 1 - x), f(x)) is smooth on each piece of f1, so its
+    maximum over [lo, hi] sits at an end, at a knot or at a stationary
+    point of a piece; phi is evaluated at those candidates only.  The log
+    rule's ends are [resolution, 1 - resolution], as on its grid.  Ties
+    within 1e-12 of the maximum go to the smallest report.
+    """
+    _check_resolution(resolution)
+    lo, hi = (resolution, 1.0 - resolution) if rule.interior_reports else (0.0, 1.0)
+    xs = [lo, hi]
+    for a, z, P in f._pieces(lo, hi):
+        xs.append(a)
+        xs.extend(rule._critical_points(P, a, z))
+    xs = np.unique(xs)
+    phi = rule.binary_objective_grid(xs, f.eval1(xs))
+    report = binary_point(float(xs[_first_argmax(phi)]))
+    return SolveResult(
+        report=report,
+        objective=_objective(rule, f, report),
         converged=True,
         iterations=xs.size,
         gradient_norm_final=float("nan"),
@@ -387,16 +425,19 @@ def performative_optimum(
 
     - the quadratic rule under a linear map with n > 2 (shrink maps
       included) returns the support-enumeration optimum, exact for this
-      standard quadratic program; it runs no ascent and has no deadline;
-    - a binary problem runs the grid oracle and one ascent row from its
-      argmax, keeps the better of the two and polishes it;
+      standard quadratic program;
+    - a binary problem returns the best of the ends, the map's knots and
+      the stationary points of each piece (critical-point enumeration);
+      ``iterations`` counts the candidates;
     - everything else runs the multi-start ascent.
 
-    ``method="ascent"`` runs the multi-start ascent for every class: starts
-    from the barycenter, inward-nudged vertices, face centers and seeded
-    uniform draws, all advancing together as one batch of rows, with the
-    oracle (grid or exact, where one exists) and the ascent from its
-    argmax merged in; the best-scoring candidate wins and is polished.
+    The first two run no ascent, draw no random numbers and have no
+    deadline.  ``method="ascent"`` runs the multi-start ascent for every
+    class: starts from the barycenter, inward-nudged vertices, face
+    centers and seeded uniform draws, all advancing together as one batch
+    of rows, with the oracle (the grid at ``cfg.grid_resolution`` or the
+    support enumeration, where one exists) and the ascent from its argmax
+    merged in; the best-scoring candidate wins and is polished.
     Non-convergence is reported through ``converged``, never raised; only
     the wall-clock budget of an ascent raises ``SolveTimeoutError``,
     carrying the best row at that moment.
@@ -412,6 +453,8 @@ def performative_optimum(
         # store the recomputable objective, as the other paths do
         exact.objective = _objective(rule, f, exact.report)
         return exact
+    if method == "auto" and f.n == 2:
+        return _exact_binary_optimum(rule, f, cfg.grid_resolution)
     deadline = (
         time.monotonic() + cfg.timeout_secs if cfg.timeout_secs else None
     )
@@ -420,13 +463,9 @@ def performative_optimum(
         oracle = grid_optimum_binary(rule, f, cfg.grid_resolution)
     elif exact_class:
         oracle = quadratic_linear_exact_optimum(f)
-    if method == "auto" and oracle is not None:
-        # binary: the grid's argmax is the only start
-        starts = oracle.report.probs[None, :]
-    else:
-        starts = _structured_starts(rule, f.n, cfg, np.random.default_rng(cfg.seed))
-        if oracle is not None:
-            starts = np.vstack([starts, oracle.report.probs])
+    starts = _structured_starts(rule, f.n, cfg, np.random.default_rng(cfg.seed))
+    if oracle is not None:
+        starts = np.vstack([starts, oracle.report.probs])
     problem = _RowProblem(rule, f)
     candidates = _ascend_rows(
         problem, starts, cfg.max_iters, cfg.step_size, cfg.tol, deadline
@@ -597,9 +636,6 @@ class OnlineTrace:
     @property
     def T(self) -> int:
         return self.outcomes.size
-
-    def report_points(self):
-        return [SimplexPoint(row) for row in self.reports]
 
 
 def inverse_schedule(c: float) -> Callable[[int], float]:

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perfscore.solvers as solvers
 from perfscore.bounds import design_exponential_rule
 from perfscore.environment import (
+    FixedPointConfig,
     LinearMap,
     affine_binary,
     bank_run,
@@ -18,6 +20,7 @@ from perfscore.environment import (
 )
 from perfscore.errors import DomainError, InvalidArgumentError, SolveTimeoutError
 from perfscore.scoring import (
+    ScoringRule,
     exponential_binary_rule,
     logarithmic_rule,
     quadratic_rule,
@@ -200,7 +203,7 @@ class TestPerformativeOptimum:
         res = performative_optimum(q, env, SolveConfig(grid_resolution=1e-5))
         # vertices tie at objective alpha; smallest report wins
         assert res.objective == pytest.approx(0.7, abs=1e-12)
-        assert res.report[0] == pytest.approx(0.0, abs=1e-9)
+        assert res.report[0] == 0.0
 
     def test_exponential_closed_form_family(self):
         ex = exponential_binary_rule(2.0)
@@ -208,17 +211,18 @@ class TestPerformativeOptimum:
             env = affine_binary(binary_point(0.5), alpha)
             res = performative_optimum(ex, env, SolveConfig(grid_resolution=1e-6))
             expected = min(1.0, 1.0 / (2.0 * (1.0 - alpha))) if alpha < 1 else 1.0
-            assert res.report[0] == pytest.approx(expected, abs=1e-5)
+            assert res.report[0] == pytest.approx(expected, abs=1e-12)
             inacc = l2_distance(env.eval(res.report), res.report)
             if expected < 1.0:
                 assert inacc == pytest.approx(alpha / math.sqrt(2.0), abs=1e-5)
 
     def test_strictly_proper_rules_report_target_under_constant_map(self):
+        # f1 = c: the quadratic rule's stationary point 4c / 4 is c exactly
         env = affine_binary(binary_point(0.62), 0.0)
-        for rule in (quadratic_rule(2), logarithmic_rule(2),
-                     exponential_binary_rule(5.0)):
+        for rule, tol in ((quadratic_rule(2), 0.0), (logarithmic_rule(2), 1e-12),
+                          (exponential_binary_rule(5.0), 1e-12)):
             res = performative_optimum(rule, env, SolveConfig(grid_resolution=1e-5))
-            assert res.report[0] == pytest.approx(0.62, abs=1e-5)
+            assert abs(res.report[0] - 0.62) <= tol
             assert l2_distance(env.eval(res.report), res.report) <= 2e-5
 
     def test_bank_run_optimum_near_extreme_fixed_point(self):
@@ -359,6 +363,125 @@ class TestMethodDispatch:
         ascent = performative_optimum(q, env, SolveConfig(seed=seed), method="ascent")
         assert auto.objective == pytest.approx(exact.objective, abs=1e-12)
         assert auto.objective >= ascent.objective - 1e-9
+
+
+GRID_STEP = 1e-6
+
+
+def grid_bounds_exact(rule, env):
+    """The 1e-6 grid oracle against the exact binary solve: the grid never
+    beats it, misses it by at most its discretisation error, and reports
+    more than one step apart only at a tie."""
+    exact = performative_optimum(rule, env, SolveConfig(grid_resolution=GRID_STEP))
+    grid = grid_optimum_binary(rule, env, GRID_STEP)
+    assert exact.objective >= grid.objective - 1e-12 * max(1.0, abs(grid.objective))
+    tie = 1e-8 * max(1.0, abs(exact.objective))
+    assert grid.objective >= exact.objective - tie
+    if abs(exact.report[0] - grid.report[0]) > GRID_STEP * (1.0 + 1e-9):
+        assert abs(exact.objective - grid.objective) <= tie
+
+
+MICRO = 1e6  # grid points per unit
+
+
+@st.composite
+def binary_problems(draw):
+    """(rule, map): affine maps of either slope sign, tabulated maps with
+    knots beyond [0, 1], and ramps.  Under the log rule f1 stays within
+    [0.01, 0.99], so the optimum keeps off the grid's clipped ends.  Knots
+    sit on the 1e-6 grid, 0.01 apart or more: the grid misses a kink off
+    its points by a first-order error (slope x step), and a steeper piece
+    by more than 1e-8 even at a smooth optimum."""
+    name = draw(st.sampled_from(["quadratic", "log", "exp"]))
+    if name == "exp":
+        rule = exponential_binary_rule(draw(st.floats(0.5, 30.0)))
+    else:
+        rule = quadratic_rule(2) if name == "quadratic" else logarithmic_rule(2)
+    lo, hi = (0.01, 0.99) if name == "log" else (0.0, 1.0)
+    value = st.floats(lo, hi)
+    family = draw(st.sampled_from(["affine", "tabulated", "ramp"]))
+    if family == "affine":
+        # columns are the images of the vertices (1, 0) and (0, 1)
+        y1, y0 = draw(value), draw(value)
+        return rule, linear([[y1, y0], [1.0 - y1, 1.0 - y0]])
+    if family == "tabulated":
+        first = draw(st.integers(-500_000, 500_000))
+        gaps = draw(st.lists(st.integers(10_000, 500_000), min_size=1, max_size=5))
+        xs = np.cumsum([first] + gaps) / MICRO
+        ys = draw(st.lists(value, min_size=xs.size, max_size=xs.size))
+        return rule, tabulated(xs, ys)
+    zeta, eps = draw(st.floats(0.01, 0.5)), draw(st.floats(0.01, 0.99))
+    # the kink (1 - zeta - start) / (1 - eps) on the grid, with start >= 0.01
+    top = min(990_000, int((1.0 - zeta - 0.01) / (1.0 - eps) * MICRO))
+    kink = draw(st.integers(10_000, top)) / MICRO
+    return rule, ramp_binary(zeta, eps, 1.0 - zeta - kink * (1.0 - eps))
+
+
+class TestExactBinaryOptimum:
+    @given(problem=binary_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_grid_never_beats_exact(self, problem):
+        grid_bounds_exact(*problem)
+
+    @pytest.mark.parametrize(
+        "rule, env",
+        [(quadratic_rule(2), bank_run()), (logarithmic_rule(2), bank_run()),
+         (exponential_binary_rule(3.0), bank_run()),
+         # the optimum (p1 ~ 0.0016) is one of two roots of x (1 - x) phi'
+         # in (0, 1/2), where that function has the same sign at both ends
+         (logarithmic_rule(2), ramp_binary(0.1, 0.01))],
+        ids=["quadratic-bank-run", "log-bank-run", "exp-bank-run", "log-ramp"],
+    )
+    def test_against_grid(self, rule, env):
+        grid_bounds_exact(rule, env)
+
+    @pytest.mark.parametrize("res", [1e-5, 1e-3])
+    def test_log_rule_ends(self, res):
+        lg = logarithmic_rule(2)
+        cfg = SolveConfig(grid_resolution=res)
+        for target, end in ((0.0, res), (1.0, 1.0 - res)):
+            env = affine_binary(binary_point(target), 0.0)
+            assert performative_optimum(lg, env, cfg).report[0] == end
+
+    def test_result_fields(self):
+        env = tabulated(np.linspace(0.0, 1.0, 5), [0.3, 0.8, 0.15, 0.6, 0.9])
+        res = performative_optimum(quadratic_rule(2), env)
+        assert res.converged
+        assert res.iterations >= 2 + 3  # the ends and the inner knots at least
+        assert math.isnan(res.gradient_norm_final)
+
+
+class TestBinarySolveEffort:
+    """The binary solve evaluates phi at a short candidate list: it never
+    falls back to the grid oracle or the ascent."""
+
+    @pytest.mark.parametrize(
+        "rule",
+        [quadratic_rule(2), logarithmic_rule(2), design_exponential_rule(1.0, 0.2)],
+        ids=str,
+    )
+    def test_points_per_solve(self, rule, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the binary solve ran a brute-force path")
+
+        monkeypatch.setattr(solvers, "grid_optimum_binary", forbidden)
+        monkeypatch.setattr(solvers, "_ascend_rows", forbidden)
+        evaluated = []
+        grid = ScoringRule.binary_objective_grid
+
+        def counted(self, x, fx):
+            evaluated.append(np.size(x))
+            return grid(self, x, fx)
+
+        monkeypatch.setattr(ScoringRule, "binary_objective_grid", counted)
+        scan = int(round(1.0 / FixedPointConfig().scan_step)) + 1
+        for family in BINARY_FAMILIES:
+            rng = np.random.default_rng([74, BINARY_FAMILIES.index(family)])
+            for _ in range(3):
+                evaluated.clear()
+                performative_optimum(rule, random_binary_map(family, rng))
+                cap = 64 + (scan if family == "bank-run" and rule.interior_reports else 0)
+                assert 0 < sum(evaluated) <= cap
 
 
 class TestRepeatedRiskMinimization:
