@@ -7,10 +7,12 @@ the two-player oracle game.  This module also implements the weighted
 market game (N traders scored against outcomes drawn from f of the
 weighted average prediction) with its per-trader accuracy bound, and the
 regret accounting that links no-regret learning to vanishing prediction
-error.  Market best responses run on the solvers' batched ascent: a
-synchronous round, and the closing best-response-gap pass, advance all N
-traders as the rows of one array, each row ascending its trader's score
-with the others' weighted reports held fixed.
+error.  A synchronous round, and the closing best-response-gap pass, solve
+all N traders' best responses as the rows of one array, each row with the
+others' weighted reports held fixed.  Under the quadratic rule and a
+linear map a trader's score is a quadratic form in its report, so its best
+response is exact (the solvers' batched support enumeration); every other
+class runs the solvers' batched projected ascent.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .solvers import (
     OnlineTrace,
     SolveConfig,
     _ascend_rows,
+    _quadratic_linear,
+    _quadratic_simplex_rows,
     _RowProblem,
     performative_optimum,
 )
@@ -147,12 +151,18 @@ class MarketEquilibrium:
 
 
 def _best_responses(game: MarketGame, own, rest, weight, inner_iters, tol):
-    """Projected-ascent best responses of several traders at once.
+    """Best responses of several traders at once.
 
-    Row r is one trader: it ascends S(p, f(rest_r + weight_r p)) from own_r.
+    Row r is one trader, maximizing S(p, f(rest_r + weight_r p)).  Under
+    the quadratic rule and f(p) = A p that is p^T (w_r (A + A^T) - I) p +
+    2 (A rest_r) . p, maximized exactly; otherwise the row ascends from own_r.
     """
+    if _quadratic_linear(game.rule, game.f):
+        A = game.f.A
+        M = weight[:, None, None] * (A + A.T) - np.eye(game.f.n)
+        return _quadratic_simplex_rows(M, rest @ A.T)
     problem = _RowProblem(game.rule, game.f, rest, weight)
-    return _ascend_rows(problem, own, inner_iters, BEST_RESPONSE_STEP, tol)
+    return _ascend_rows(problem, own, inner_iters, BEST_RESPONSE_STEP, tol).P
 
 
 def market_equilibrium(
@@ -166,11 +176,14 @@ def market_equilibrium(
     """Iterated best response to a pure-strategy market equilibrium.
 
     Every round each trader solves their own performative subproblem (their
-    report enters f with their weight) by projected gradient ascent;
-    ``synchronous`` updates all traders at once, ``round-robin`` one at a
-    time.  Stops when no trader moved more than ``tol``; pure equilibria
-    are not guaranteed to exist, and non-convergence raises
-    ``IterationLimitError`` carrying the last profile.
+    report enters f with their weight): exactly for the quadratic rule
+    under a linear map, else by projected gradient ascent of at most
+    ``inner_iters`` steps.  ``synchronous`` updates all traders at once,
+    ``round-robin`` one at a time.  Stops when no trader moved more than
+    ``tol``; pure equilibria are not guaranteed to exist, and
+    non-convergence raises ``IterationLimitError`` carrying the last
+    profile.  ``per_player_br_gap`` is each trader's score gain from
+    switching to its best response, exact where the best response is.
     """
     if mode not in ("synchronous", "round-robin"):
         raise InvalidArgumentError(f"unknown update mode {mode!r}")
@@ -188,7 +201,7 @@ def market_equilibrium(
         moved = 0.0
         if mode == "synchronous":
             rest = (w[:, None] * profile).sum(axis=0) - w[:, None] * profile
-            updates = _best_responses(game, profile, rest, w, inner_iters, tol).P
+            updates = _best_responses(game, profile, rest, w, inner_iters, tol)
             moved = float(np.max(np.linalg.norm(updates - profile, axis=1)))
             profile = updates
         else:
@@ -196,7 +209,7 @@ def market_equilibrium(
                 rest = (w[:, None] * profile).sum(axis=0) - w[i] * profile[i]
                 new = _best_responses(
                     game, profile[i:i + 1], rest[None, :], w[i:i + 1], inner_iters, tol
-                ).P[0]
+                )[0]
                 moved = max(moved, float(np.linalg.norm(new - profile[i])))
                 profile[i] = new
         if moved <= tol:
@@ -207,8 +220,10 @@ def market_equilibrium(
         )
     hat = SimplexPoint((w[:, None] * profile).sum(axis=0))
     rest = hat.probs - w[:, None] * profile
-    own_phi = _RowProblem(game.rule, game.f, rest, w).objective(profile, np.arange(N))
-    br_phi = _best_responses(game, profile, rest, w, inner_iters, tol).phi
+    problem = _RowProblem(game.rule, game.f, rest, w)
+    own_phi = problem.objective(profile, np.arange(N))
+    br = _best_responses(game, profile, rest, w, inner_iters, tol)
+    br_phi = problem.objective(br, np.arange(N))
     gaps = [max(0.0, float(b - o)) for b, o in zip(br_phi, own_phi)]
     return MarketEquilibrium(
         predictions=[SimplexPoint(row) for row in profile],

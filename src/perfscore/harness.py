@@ -252,10 +252,7 @@ def _run_linear_trial(args):
         dist_fp_uniform=dist_fp_uniform,
         dist_report_uniform=float(np.linalg.norm(p.probs - u)),
         bound_Lf=op_norm * (rule.max_subgradient_norm() / rule.min_gamma()),
-        # ||g(p)|| / gamma_p = ||p - u||, written out: g centres with 2/n, u
-        # is the renormalized barycenter, and they differ in the last bit
-        # for n = 6 and 7
-        bound_pointwise=op_norm * float(np.linalg.norm(p.probs - u)),
+        bound_pointwise=op_norm * (rule.subgradient_norm(p) / rule.gamma_at(p)),
         runtime_ms=runtime_ms,
         status=STATUS_OK,
         report=[float(v) for v in p.probs],

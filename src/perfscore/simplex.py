@@ -39,12 +39,13 @@ class SimplexPoint:
     """A probability vector over n >= 2 outcomes.
 
     Immutable.  Entries within -1e-12 of zero are clamped to 0 and the
-    vector is renormalized; sums further than 1e-9 from 1 are rejected.
+    vector is renormalized (unless ``renormalize=False``); sums further
+    than 1e-9 from 1 are rejected.
     """
 
     __slots__ = ("_probs",)
 
-    def __init__(self, probs):
+    def __init__(self, probs, *, renormalize=True):
         v = _as_finite_vector(probs, "probs")
         if v.size < 2:
             raise InvalidArgumentError("a simplex point needs n >= 2 outcomes")
@@ -53,7 +54,8 @@ class SimplexPoint:
         if abs(v.sum() - 1.0) > SUM_TOL:
             raise InvalidArgumentError(f"probabilities sum to {v.sum()}, not 1")
         v = np.clip(v, 0.0, None)
-        v = v / v.sum()
+        if renormalize:
+            v = v / v.sum()
         v.flags.writeable = False
         self._probs = v
 
@@ -123,10 +125,11 @@ class TangentVector:
 
 
 def uniform_point(n: int) -> SimplexPoint:
-    """The barycenter (1/n, ..., 1/n)."""
+    """The barycenter (1/n, ..., 1/n), entry for entry: not renormalized,
+    since n copies of the rounded 1/n need not sum to exactly 1."""
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    return SimplexPoint(np.full(n, 1.0 / n))
+    return SimplexPoint(np.full(n, 1.0 / n), renormalize=False)
 
 
 def vertex(n: int, i: int) -> SimplexPoint:

@@ -18,7 +18,9 @@ through the rules' and maps' row kernels on bare arrays and a row-wise
 simplex projection, each row with its own step, backtracking and stops;
 the iterates get the ``SimplexPoint`` checks as array checks, and point
 objects are built only for the returned results.  The market best
-responses in ``games`` run on the same kernel.  The remaining routines
+responses in ``games`` run on the same kernel, except under the quadratic
+rule and a linear map, where a batched support enumeration solves them
+exactly.  The remaining routines
 implement the dynamics that converge to fixed points instead of optima:
 fixed-point iteration of f (repeated risk minimization), ascent on the
 frozen-belief objective Dg(p)^T (f(p) - p) (repeated gradient ascent), and
@@ -447,7 +449,7 @@ def performative_optimum(
         raise InvalidArgumentError(f"rule n={rule.n} vs environment n={f.n}")
     if method not in METHODS:
         raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
-    exact_class = isinstance(rule, QuadraticRule) and isinstance(f, LinearMap) and f.n > 2
+    exact_class = _quadratic_linear(rule, f) and f.n > 2
     if method == "auto" and exact_class:
         exact = quadratic_linear_exact_optimum(f)
         # store the recomputable objective, as the other paths do
@@ -482,6 +484,12 @@ def performative_optimum(
         iterations=best.iterations,
         gradient_norm_final=best.gradient_norm_final,
     )
+
+
+def _quadratic_linear(rule: ScoringRule, f: EnvironmentMap) -> bool:
+    """Whether S(p, f(p)) is a quadratic form in p: the quadratic rule under
+    a linear map, the class with exact optima and exact best responses."""
+    return isinstance(rule, QuadraticRule) and isinstance(f, LinearMap)
 
 
 def quadratic_linear_exact_optimum(f: EnvironmentMap) -> SolveResult:
@@ -535,6 +543,69 @@ def quadratic_linear_exact_optimum(f: EnvironmentMap) -> SolveResult:
         iterations=2 ** n - 1,
         gradient_norm_final=float("nan"),
     )
+
+
+def _lexicographically_smaller_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise ``_lexicographically_smaller``."""
+    differ = X != Y
+    first = differ.argmax(axis=1)
+    rows = np.arange(X.shape[0])
+    return differ[rows, first] & (X[rows, first] < Y[rows, first])
+
+
+def _solve_or_nan(K: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked solve of K_r y_r = b_r; a row whose K_r is singular gets nan."""
+    try:
+        return np.linalg.solve(K, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for r in range(K.shape[0]):
+            try:
+                out[r] = np.linalg.solve(K[r], b[r])
+            except np.linalg.LinAlgError:
+                continue
+        return out
+
+
+def _quadratic_simplex_rows(M: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """argmax over the simplex of x^T M_r x + 2 C_r . x for every row r.
+
+    Exact by support enumeration, as in ``quadratic_linear_exact_optimum``
+    but with a linear term and all rows at once: on each support S the
+    stationary points solve the bordered system M_SS x + mu 1 = -C_S,
+    1^T x = 1, one stacked solve for all rows.  A row skips a face whose
+    system is singular or whose solution is not strictly positive.  Ties
+    within 1e-12 go to the lexicographically smaller report.  M is
+    (R, n, n), C is (R, n); returns the (R, n) maximizers.
+    """
+    R, n = C.shape
+    best_x = np.zeros((R, n))
+    best_val = np.full(R, -np.inf)
+    for size in range(1, n + 1):
+        for support in combinations(range(n), size):
+            idx = list(support)
+            X = np.zeros((R, n))
+            if size == 1:
+                X[:, idx[0]] = 1.0
+                ok = np.ones(R, dtype=bool)
+            else:
+                K = np.ones((R, size + 1, size + 1))
+                K[:, :size, :size] = M[:, idx][:, :, idx]
+                K[:, size, size] = 0.0
+                b = np.ones((R, size + 1))
+                b[:, :size] = -C[:, idx]
+                y = _solve_or_nan(K, b)[:, :size]
+                ok = np.all(y > 0.0, axis=1)
+                X[:, idx] = y
+            val = np.einsum("ri,ri->r", X, np.einsum("rij,rj->ri", M, X) + 2.0 * C)
+            take = ok & (
+                (val > best_val + OBJECTIVE_TIE_TOL)
+                | ((np.abs(val - best_val) <= OBJECTIVE_TIE_TOL)
+                   & _lexicographically_smaller_rows(X, best_x))
+            )
+            best_x[take] = X[take]
+            best_val[take] = val[take]
+    return best_x
 
 
 # -- fixed-point dynamics -----------------------------------------------------

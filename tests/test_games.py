@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import perfscore.games
 from perfscore.environment import (
     affine_binary,
     bank_run,
@@ -10,6 +11,7 @@ from perfscore.environment import (
 )
 from perfscore.errors import InvalidArgumentError
 from perfscore.games import (
+    _best_responses,
     MarketGame,
     honest_report_argmax,
     is_oracle_game_equilibrium,
@@ -148,16 +150,18 @@ class TestMarket:
         for p in eq.predictions:
             assert l2_distance(p, binary_point(0.3)) <= 1e-7
 
-    def test_equal_weight_equilibrium_closed_form(self):
+    @pytest.mark.parametrize("N", [2, 4, 5, 10, 50])
+    def test_equal_weight_equilibrium_closed_form(self, N):
         # symmetric traders solve (1-a)(x-s) = w a (x - 1/2); for
-        # a=0.5, s=0.7: x = (0.7 - 0.5 w)/(1 - w)
+        # a=0.5, s=0.7: x = (0.7 - 0.5 w)/(1 - w), which is 23/30 at N = 4
         env = affine_binary(binary_point(0.7), 0.5)
-        for N in (2, 10):
-            w = 1.0 / N
-            game = MarketGame(Q2, env, tuple([w] * N))
-            eq = market_equilibrium(game)
-            expected = (0.7 - 0.5 * w) / (1.0 - w)
-            assert eq.market_prediction[0] == pytest.approx(expected, abs=1e-7)
+        w = 1.0 / N
+        game = MarketGame(Q2, env, tuple([w] * N))
+        eq = market_equilibrium(game)
+        expected = 23.0 / 30.0 if N == 4 else (0.7 - 0.5 * w) / (1.0 - w)
+        assert eq.market_prediction[0] == pytest.approx(expected, abs=1e-9)
+        for p in eq.predictions:
+            assert p[0] == pytest.approx(expected, abs=1e-9)
 
     def test_market_consistency_invariant(self):
         env = affine_binary(binary_point(0.7), 0.5)
@@ -174,7 +178,7 @@ class TestMarket:
         eq = market_equilibrium(game)
         checks = market_power_bound_check(eq, game)
         assert all(ok for _, _, ok in checks)
-        assert max(eq.per_player_br_gap) <= 1e-8
+        assert max(eq.per_player_br_gap) <= 1e-12
 
     def test_small_trader_is_accurate(self):
         env = affine_binary(binary_point(0.7), 0.5)
@@ -189,7 +193,7 @@ class TestMarket:
         game = MarketGame(Q2, env, tuple([0.2] * 5))
         sync = market_equilibrium(game, mode="synchronous")
         rr = market_equilibrium(game, mode="round-robin")
-        assert l2_distance(sync.market_prediction, rr.market_prediction) <= 1e-6
+        assert l2_distance(sync.market_prediction, rr.market_prediction) <= 1e-9
 
     @pytest.mark.parametrize("N", [2, 10, 50])
     def test_batched_rounds_match_sequential_reference(self, N):
@@ -199,8 +203,9 @@ class TestMarket:
         eq = market_equilibrium(game)
         ref = _reference_market_profile(game)
         got = np.array([p.probs for p in eq.predictions])
+        # the reference is an ascent, accurate to about 1e-8
         assert np.max(np.abs(got - ref)) <= 1e-6
-        assert max(eq.per_player_br_gap) <= 1e-8
+        assert max(eq.per_player_br_gap) <= 1e-12
 
     def test_weight_validation(self):
         env = affine_binary(binary_point(0.7), 0.5)
@@ -208,6 +213,92 @@ class TestMarket:
             MarketGame(Q2, env, (0.6, 0.6))
         with pytest.raises(InvalidArgumentError):
             market_equilibrium(MarketGame(Q2, env, (1.0,)), mode="chaotic")
+
+
+class TestExactBestResponse:
+    """The quadratic rule under a linear map: best responses by support
+    enumeration, checked against independent references."""
+
+    def test_dominates_reference_ascent(self):
+        rng = np.random.default_rng(130)
+        for i in range(20):
+            N = 2 + i % 3
+            env = random_linear(3, rng)
+            game = MarketGame(quadratic_rule(3), env, tuple(rng.dirichlet(np.ones(N))))
+            w = np.asarray(game.weights)
+            profile = sample_simplex_points(3, N, rng)
+            rest = (w[:, None] * profile).sum(axis=0) - w[:, None] * profile
+            exact = _best_responses(game, profile, rest, w, 200, 1e-10)
+            for k in range(N):
+                ref = max(
+                    _ref_player_objective(
+                        game, k, _ref_best_response(game, k, start, rest[k]), rest[k]
+                    )
+                    for start in _REFERENCE_STARTS
+                )
+                got = _ref_player_objective(game, k, exact[k], rest[k])
+                assert got >= ref - 1e-12, (i, k)
+
+    @pytest.mark.parametrize("alpha", [-0.2, 0.3, 0.5, 0.8])
+    def test_single_quadratic_trader_is_performative_optimum(self, alpha):
+        # alpha = 0.5: phi is linear in p1, the full face's stationarity
+        # system is singular and the vertex (1, 0) wins; alpha = 0.8: the
+        # best response is not concave
+        env = affine_binary(binary_point(0.7), alpha)
+        eq = market_equilibrium(MarketGame(Q2, env, (1.0,)))
+        expected = performative_optimum(Q2, env).report.probs
+        assert np.max(np.abs(eq.predictions[0].probs - expected)) <= 1e-12
+
+    def test_singular_face_is_skipped_per_row(self):
+        # row 0 is the lone trader at alpha = 0.5, whose full-face system is
+        # singular; row 1 is a half-weight trader with a regular system
+        game = MarketGame(Q2, affine_binary(binary_point(0.7), 0.5), (0.5, 0.5))
+        own = np.array([[0.5, 0.5], [0.5, 0.5]])
+        rest = np.array([[0.0, 0.0], [0.1, 0.4]])
+        weight = np.array([1.0, 0.5])
+        both = _best_responses(game, own, rest, weight, 200, 1e-10)
+        for r in range(2):
+            alone = _best_responses(game, own[r:r + 1], rest[r:r + 1], weight[r:r + 1],
+                                    200, 1e-10)
+            assert np.array_equal(both[r], alone[0])
+        assert np.array_equal(both[0], [1.0, 0.0])
+        assert 0.0 < both[1][0] < 1.0
+
+    @pytest.mark.parametrize("mode", ["synchronous", "round-robin"])
+    @pytest.mark.parametrize("case", ["binary N=2", "binary N=50", "n=3"])
+    def test_markets_run_no_ascent(self, monkeypatch, mode, case):
+        monkeypatch.setattr(perfscore.games, "_ascend_rows", _no_ascent)
+        if case == "n=3":
+            env = random_linear(3, np.random.default_rng(2))
+            game = MarketGame(quadratic_rule(3), env, (0.5, 0.3, 0.2))
+        else:
+            N = int(case.split("=")[1])
+            game = MarketGame(Q2, affine_binary(binary_point(0.7), 0.5), tuple([1.0 / N] * N))
+        eq = market_equilibrium(game, mode=mode)
+        assert max(eq.per_player_br_gap) <= 1e-12
+        assert all(ok for _, _, ok in market_power_bound_check(eq, game))
+
+    def test_other_rules_still_ascend(self, monkeypatch):
+        # test_single_player_reduces_to_performative_optimum's market
+        monkeypatch.setattr(perfscore.games, "_ascend_rows", _no_ascent)
+        game = MarketGame(exponential_binary_rule(2.0),
+                          affine_binary(binary_point(0.5), 0.3), (1.0,))
+        with pytest.raises(_AscentCalled):
+            market_equilibrium(game)
+
+
+class _AscentCalled(Exception):
+    pass
+
+
+def _no_ascent(*args, **kwargs):
+    raise _AscentCalled
+
+
+# barycenter and inward-nudged vertices of the 3-simplex
+_REFERENCE_STARTS = [np.full(3, 1.0 / 3.0)] + [
+    (1.0 - 1e-6) * np.eye(3)[i] + 1e-6 / 3.0 for i in range(3)
+]
 
 
 # -- sequential reference ------------------------------------------------------

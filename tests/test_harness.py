@@ -132,6 +132,13 @@ class TestManyOutcome:
             fp = SimplexPoint(r.fixed_point)
             assert l2_distance(p, fp) == pytest.approx(r.dist_to_fp, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_pointwise_bound_is_op_norm_times_distance_to_barycenter(self, n):
+        # ||g(p)|| / gamma_p = ||p - u|| for the quadratic rule, bit for bit
+        records, _ = many_outcome_experiment(n=n, trials=30, seed=1)
+        for r in records:
+            assert r.bound_pointwise == r.op_norm * r.dist_report_uniform
+
     def test_worker_pool_invariance(self):
         serial, _ = many_outcome_experiment(n=4, trials=12, seed=5, jobs=1)
         parallel, _ = many_outcome_experiment(n=4, trials=12, seed=5, jobs=2)

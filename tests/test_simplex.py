@@ -48,6 +48,12 @@ class TestSimplexPoint:
         with pytest.raises(InvalidArgumentError):
             SimplexPoint([np.nan, 1.0])
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_uniform_point_is_exactly_one_over_n(self, n):
+        # n copies of the rounded 1/n sum to 1 - 1.1e-16 for n = 6 and 7;
+        # renormalizing would move every entry by 2.8e-17
+        assert np.array_equal(uniform_point(n).probs, np.full(n, 1.0 / n))
+
     def test_immutability(self):
         p = uniform_point(3)
         with pytest.raises(ValueError):
