@@ -37,7 +37,6 @@ from .errors import (
     InvalidArgumentError,
     IterationLimitError,
     PerfscoreError,
-    SolveTimeoutError,
 )
 from .games import (
     MarketEquilibrium,

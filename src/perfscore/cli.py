@@ -60,7 +60,8 @@ def _add_common(sub, rule=True, env=True):
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--timeout-secs", type=float, default=120.0)
+    sub.add_argument("--timeout-secs", type=float, default=120.0,
+                     help="accepted and ignored: no solve has a wall-clock budget")
     sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--volatile-runtime", action="store_true",
                      help="emit real wall-clock runtime_ms (breaks byte determinism)")
@@ -206,7 +207,7 @@ def _run(args) -> int:
                 raise InvalidArgumentError("--at expects p1=<float> on binary environments")
             point = binary_point(float(val))
         else:
-            cfg = SolveConfig(seed=args.seed, timeout_secs=args.timeout_secs)
+            cfg = SolveConfig(seed=args.seed)
             point = performative_optimum(rule, env, cfg).report
         rep = inaccuracy_bound(rule, env, point)
         payload = dataclasses.asdict(rep)
@@ -219,7 +220,7 @@ def _run(args) -> int:
         rule = parse_rule(args.rule, env.n)
         weights = tuple(_parse_float_list(args.weights))
         game = MarketGame(rule, env, weights)
-        eq = market_equilibrium(game, timeout_secs=args.timeout_secs)
+        eq = market_equilibrium(game)
         checks = market_power_bound_check(eq, game)
         payload = {
             "predictions": [p for p in eq.predictions],

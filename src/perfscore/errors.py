@@ -23,11 +23,3 @@ class IterationLimitError(PerfscoreError, RuntimeError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-
-
-class SolveTimeoutError(PerfscoreError, RuntimeError):
-    """A solve exceeded its wall-clock budget. Carries the best iterate in ``best``."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best

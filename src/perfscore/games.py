@@ -17,7 +17,6 @@ class runs the solvers' batched projected ascent.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,7 +170,6 @@ def market_equilibrium(
     tol: float = 1e-10,
     inner_iters: int = 200,
     mode: str = "synchronous",
-    timeout_secs: float = 120.0,
 ) -> MarketEquilibrium:
     """Iterated best response to a pure-strategy market equilibrium.
 
@@ -180,8 +178,9 @@ def market_equilibrium(
     under a linear map, else by projected gradient ascent of at most
     ``inner_iters`` steps.  ``synchronous`` updates all traders at once,
     ``round-robin`` one at a time.  Stops when no trader moved more than
-    ``tol``; pure equilibria are not guaranteed to exist, and
-    non-convergence raises ``IterationLimitError`` carrying the last
+    ``tol``; pure equilibria are not guaranteed to exist, and no
+    convergence within ``max_rounds`` rounds (the only limit: there is no
+    wall-clock budget) raises ``IterationLimitError`` carrying the last
     profile.  ``per_player_br_gap`` is each trader's score gain from
     switching to its best response, exact where the best response is.
     """
@@ -191,13 +190,8 @@ def market_equilibrium(
     n = game.f.n
     w = np.asarray(game.weights)
     profile = np.tile(uniform_point(n).probs, (N, 1))
-    deadline = time.monotonic() + timeout_secs if timeout_secs else None
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise IterationLimitError(
-                "market equilibrium search timed out", best=profile
-            )
         moved = 0.0
         if mode == "synchronous":
             rest = (w[:, None] * profile).sum(axis=0) - w[:, None] * profile

@@ -5,14 +5,14 @@ phi(p) = S(p, f(p)), whose gradient decomposes as
 
     grad phi(p) = Dg(p)^T (f(p) - p) + Df(p)^T g(p).
 
-``performative_optimum`` picks its method by problem class.  The
+``performative_optimum`` has one solver per problem class.  The
 quadratic rule under a linear map with n > 2 is a standard quadratic
 program, solved exactly by support enumeration.  A binary problem is
 solved exactly by critical-point enumeration: phi is evaluated only at
 the ends, the map's knots and each piece's stationary points (closed
 forms, or roots bracketed for ``brentq``).  Everything else (phi is not
-concave in general) gets multi-start projected gradient ascent, which
-``method="ascent"`` also forces for every class.  All starts advance
+concave in general) gets multi-start projected gradient ascent, bounded
+by an iteration cap and never by wall-clock time.  All starts advance
 together: one kernel moves an (R, n) array of reports, one row per start,
 through the rules' and maps' row kernels on bare arrays and a row-wise
 simplex projection, each row with its own step, backtracking and stops;
@@ -29,7 +29,6 @@ its stochastic single-outcome counterpart (online SGD).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional
@@ -37,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .environment import EnvironmentMap, LinearMap
-from .errors import DomainError, InvalidArgumentError, SolveTimeoutError
+from .errors import DomainError, InvalidArgumentError
 from .scoring import QuadraticRule, ScoringRule
 from .simplex import (
     SimplexPoint,
@@ -53,13 +52,11 @@ from .simplex import (
 OBJECTIVE_TIE_TOL = 1e-12
 MAX_BACKTRACKS = 40
 LOG_INTERIOR_NUDGE = 1e-6
-METHODS = ("auto", "ascent")  # performative_optimum's solve methods
 
 
 @dataclass
 class SolveConfig:
-    """Solver settings.  ``grid_resolution`` sets the binary grid oracle's
-    step under ``method="ascent"``; under ``method="auto"`` it only clips
+    """Solver settings, checked when built.  ``grid_resolution`` only clips
     the log rule's binary reports to [res, 1 - res]."""
 
     max_iters: int = 500
@@ -68,15 +65,17 @@ class SolveConfig:
     restarts: int = 16
     seed: int = 0
     grid_resolution: float = 1e-5
-    timeout_secs: float = 120.0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InvalidArgumentError("tol must be positive")
+        for name in ("tol", "step_size"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise InvalidArgumentError(f"{name} must be finite and positive, got {value}")
+        if self.max_iters < 1:
+            raise InvalidArgumentError("max_iters must be >= 1")
         if self.restarts < 1:
             raise InvalidArgumentError("restarts must be >= 1")
-        if self.step_size <= 0:
-            raise InvalidArgumentError("step_size must be positive")
+        _check_resolution(self.grid_resolution)
 
 
 @dataclass
@@ -201,8 +200,7 @@ class _Rows:
 
 
 def _ascend_rows(
-    problem: _RowProblem, starts: np.ndarray, max_iters: int, step_size: float,
-    tol: float, deadline=None,
+    problem: _RowProblem, starts: np.ndarray, max_iters: int, step_size: float, tol: float
 ) -> _Rows:
     """Projected gradient ascent from every row of ``starts`` at once.
 
@@ -212,8 +210,7 @@ def _ascend_rows(
     and a move <= tol (converged), no ascent step along the gradient ray (a
     boundary optimum, converged), or ``max_iters``.  A log-rule row that
     leaves the interior stops unconverged.  Rows leave the batch as they
-    stop.  Past ``deadline`` the best row so far is raised in a
-    ``SolveTimeoutError``.
+    stop.
     """
     R = starts.shape[0]
     rows = _Rows(
@@ -227,13 +224,6 @@ def _ascend_rows(
     for it in range(1, max_iters + 1):
         if live.size == 0:
             break
-        if deadline is not None and time.monotonic() > deadline:
-            best = _pick_best(rows.results())
-            best.objective = _objective(problem.rule, problem.f, best.report)
-            raise SolveTimeoutError(
-                "performative optimum solve exceeded its wall-clock budget",
-                best=best,
-            )
         rows.iterations[live] = it
         live = live[problem.rule._defined_rows(rows.P[live])]
         if live.size == 0:
@@ -385,7 +375,7 @@ def grid_optimum_binary(
 
 def _check_resolution(resolution: float):
     if not 0 < resolution <= 1e-3:
-        raise InvalidArgumentError("resolution must be in (0, 1e-3]")
+        raise InvalidArgumentError(f"resolution must be in (0, 1e-3], got {resolution}")
 
 
 def _exact_binary_optimum(
@@ -399,7 +389,6 @@ def _exact_binary_optimum(
     rule's ends are [resolution, 1 - resolution], as on its grid.  Ties
     within 1e-12 of the maximum go to the smallest report.
     """
-    _check_resolution(resolution)
     lo, hi = (resolution, 1.0 - resolution) if rule.interior_reports else (0.0, 1.0)
     xs = [lo, hi]
     for a, z, P in f._pieces(lo, hi):
@@ -418,12 +407,9 @@ def _exact_binary_optimum(
 
 
 def performative_optimum(
-    rule: ScoringRule, f: EnvironmentMap, cfg: SolveConfig = None,
-    method: str = "auto",
+    rule: ScoringRule, f: EnvironmentMap, cfg: SolveConfig = None
 ) -> SolveResult:
-    """argmax_p S(p, f(p)), by the exact method where one exists.
-
-    With ``method="auto"``:
+    """argmax_p S(p, f(p)), by one solver per problem class.
 
     - the quadratic rule under a linear map with n > 2 (shrink maps
       included) returns the support-enumeration optimum, exact for this
@@ -431,50 +417,37 @@ def performative_optimum(
     - a binary problem returns the best of the ends, the map's knots and
       the stationary points of each piece (critical-point enumeration);
       ``iterations`` counts the candidates;
-    - everything else runs the multi-start ascent.
+    - everything else runs the multi-start ascent (``_multistart_ascent``).
 
-    The first two run no ascent, draw no random numbers and have no
-    deadline.  ``method="ascent"`` runs the multi-start ascent for every
-    class: starts from the barycenter, inward-nudged vertices, face
-    centers and seeded uniform draws, all advancing together as one batch
-    of rows, with the oracle (the grid at ``cfg.grid_resolution`` or the
-    support enumeration, where one exists) and the ascent from its argmax
-    merged in; the best-scoring candidate wins and is polished.
-    Non-convergence is reported through ``converged``, never raised; only
-    the wall-clock budget of an ascent raises ``SolveTimeoutError``,
-    carrying the best row at that moment.
+    The first two run no ascent and draw no random numbers.
+    Non-convergence is reported through ``converged``, never raised.
     """
     cfg = cfg or SolveConfig()
     if rule.n != f.n:
         raise InvalidArgumentError(f"rule n={rule.n} vs environment n={f.n}")
-    if method not in METHODS:
-        raise InvalidArgumentError(f"method must be one of {METHODS}, got {method!r}")
-    exact_class = _quadratic_linear(rule, f) and f.n > 2
-    if method == "auto" and exact_class:
+    if _quadratic_linear(rule, f) and f.n > 2:
         exact = quadratic_linear_exact_optimum(f)
         # store the recomputable objective, as the other paths do
         exact.objective = _objective(rule, f, exact.report)
         return exact
-    if method == "auto" and f.n == 2:
-        return _exact_binary_optimum(rule, f, cfg.grid_resolution)
-    deadline = (
-        time.monotonic() + cfg.timeout_secs if cfg.timeout_secs else None
-    )
-    oracle = None
     if f.n == 2:
-        oracle = grid_optimum_binary(rule, f, cfg.grid_resolution)
-    elif exact_class:
-        oracle = quadratic_linear_exact_optimum(f)
+        return _exact_binary_optimum(rule, f, cfg.grid_resolution)
+    return _multistart_ascent(rule, f, cfg)
+
+
+def _multistart_ascent(rule: ScoringRule, f: EnvironmentMap, cfg: SolveConfig) -> SolveResult:
+    """Multi-start projected gradient ascent on phi, for any class.
+
+    Starts from the barycenter, inward-nudged vertices, face centers and
+    seeded uniform draws, all advancing together as one batch of rows,
+    each for at most ``cfg.max_iters`` steps; the best-scoring row wins
+    (ties within 1e-12 to the smallest report) and is polished.
+    """
     starts = _structured_starts(rule, f.n, cfg, np.random.default_rng(cfg.seed))
-    if oracle is not None:
-        starts = np.vstack([starts, oracle.report.probs])
     problem = _RowProblem(rule, f)
     candidates = _ascend_rows(
-        problem, starts, cfg.max_iters, cfg.step_size, cfg.tol, deadline
+        problem, starts, cfg.max_iters, cfg.step_size, cfg.tol
     ).results()
-    if oracle is not None:
-        # merge order: the starts, the oracle, then the ascent from it
-        candidates.insert(len(candidates) - 1, oracle)
     best = _polish_interior(problem, _pick_best(candidates), cfg)
     # store the recomputable objective for the winning report
     return SolveResult(

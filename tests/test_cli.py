@@ -46,6 +46,18 @@ class TestDeterminism:
         b = run(tmp_path, "j2.csv", base + ["--jobs", "2"])
         assert a == b
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bound", "--rule", "log", "--env", "linear:seed=3,n=3", "--format", "json"],
+         ["market", "--env", "affine:p1=0.7,alpha=0.5", "--weights", "0.5,0.5"]],
+        ids=["bound-ascent", "market"],
+    )
+    def test_timeout_secs_is_ignored(self, tmp_path, argv):
+        # the log rule with n = 3 reaches the multi-start ascent
+        a = run(tmp_path, "t0", argv)
+        b = run(tmp_path, "t1", argv + ["--timeout-secs", "1e-9"])
+        assert a == b
+
     def test_different_seeds_differ(self, tmp_path):
         a = run(tmp_path, "s1.csv",
                 ["many-outcome", "--n", "4", "--trials", "4", "--seed", "1"])

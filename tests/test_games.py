@@ -9,7 +9,7 @@ from perfscore.environment import (
     random_linear,
     shrink_to,
 )
-from perfscore.errors import InvalidArgumentError
+from perfscore.errors import InvalidArgumentError, IterationLimitError
 from perfscore.games import (
     _best_responses,
     MarketGame,
@@ -206,6 +206,27 @@ class TestMarket:
         # the reference is an ascent, accurate to about 1e-8
         assert np.max(np.abs(got - ref)) <= 1e-6
         assert max(eq.per_player_br_gap) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["synchronous", "round-robin"])
+    def test_round_cap_raises_with_last_profile(self, mode):
+        # this market needs 32 synchronous or 19 round-robin rounds.  With
+        # f1(h) = 0.35 + h / 2 and h = r + x / 4, a trader's score has slope
+        # 1.15 + 2 r - 3 x in its report x, so its best response is
+        # x = (1.15 + 2 r) / 3, where r is the others' weighted p1
+        env = affine_binary(binary_point(0.7), 0.5)
+        game = MarketGame(Q2, env, (0.25,) * 4)
+        with pytest.raises(IterationLimitError) as err:
+            market_equilibrium(game, max_rounds=1, mode=mode)
+        x = np.full(4, 0.5)
+        if mode == "synchronous":
+            x[:] = (1.15 + 2.0 * 0.75 * 0.5) / 3.0
+        else:
+            for i in range(4):
+                x[i] = (1.15 + 2.0 * 0.25 * (x.sum() - x[i])) / 3.0
+        best = err.value.best
+        assert best.shape == (4, 2)
+        assert best[:, 0] == pytest.approx(x, abs=1e-12)
+        assert best.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-12)
 
     def test_weight_validation(self):
         env = affine_binary(binary_point(0.7), 0.5)

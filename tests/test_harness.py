@@ -1,8 +1,12 @@
+import csv
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfscore.environment import affine_binary, linear
 from perfscore.errors import InvalidArgumentError
@@ -28,6 +32,11 @@ from perfscore.simplex import SimplexPoint, binary_point, l2_distance, uniform_p
 from perfscore.solvers import grid_optimum_binary
 
 Q2 = quadratic_rule(2)
+# the scalar float fields of an ExperimentRecord, all written to CSV
+FLOAT_FIELDS = (
+    "op_norm", "inaccuracy", "dist_to_fp", "dist_fp_uniform", "dist_report_uniform",
+    "bound_Lf", "bound_pointwise", "runtime_ms", "logit_inaccuracy",
+)
 
 
 class TestBinarySweep:
@@ -234,14 +243,31 @@ class TestEmission:
         text = records_to_csv(self.make_records(1))
         assert text.split("\n")[0] == ",".join(CSV_COLUMNS)
 
-    def test_floats_roundtrip_17_digits(self):
+    @given(scalars=st.lists(st.floats(), min_size=9, max_size=9),
+           report=st.lists(st.floats(), min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_floats_roundtrip(self, scalars, report):
+        # every finite float comes back bit for bit from CSV and JSON;
+        # JSON writes NaN and +-inf as null
         rec = self.make_records(1)[0]
-        rec.inaccuracy = 1.0 / 3.0
-        text = records_to_csv([rec])
-        import csv as csvmod
-        rows = list(csvmod.reader(text.strip().split("\n")))
-        cell = rows[1][rows[0].index("inaccuracy")]
-        assert float(cell) == 1.0 / 3.0
+        for name, value in zip(FLOAT_FIELDS, scalars):
+            setattr(rec, name, value)
+        rec.report = report
+        rows = list(csv.reader(records_to_csv([rec]).strip().split("\n")))
+        cells = dict(zip(rows[0], rows[1]))
+        parsed = json.loads(to_json(rec))
+
+        def same(a, b):
+            return struct.pack("<d", a) == struct.pack("<d", b)
+
+        for name, value in zip(FLOAT_FIELDS, scalars):
+            if math.isfinite(value):
+                assert same(float(cells[name]), value)
+                assert same(parsed[name], value)
+            else:
+                assert parsed[name] is None
+        for got, value in zip(parsed["report"], report):
+            assert same(got, value) if math.isfinite(value) else got is None
 
     def test_json_stats_roundtrip(self):
         records, summary = many_outcome_experiment(n=4, trials=8, seed=2)

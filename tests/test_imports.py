@@ -1,5 +1,11 @@
-"""Every library module uses each name it imports (an ast scan; the package
-re-exports its names from ``__init__``, which is exempt)."""
+"""Static ast scans of the library modules.
+
+Every module uses each name it imports (the package re-exports its names
+from ``__init__``, which is exempt), and no result can depend on
+wall-clock time: only ``harness`` reads the clock, through
+``time.perf_counter`` for the ``runtime_ms`` field, which the CLI zeroes
+unless ``--volatile-runtime`` is given.
+"""
 
 import ast
 from pathlib import Path
@@ -33,3 +39,39 @@ def test_module_uses_every_import(path):
 def test_scan_flags_unused_names():
     source = "import os\nimport numpy as np\nfrom x import a, b as c\nc(np.pi)\n"
     assert unused_imports(source) == ["a", "os"]
+
+
+# the clock reads each module may make
+CLOCK_ALLOWED = {"harness.py": {"import time", "time.perf_counter"}}
+
+
+def clock_reads(source: str) -> list:
+    """Every import of ``time`` and every ``time.<name>`` the source uses."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(f"import {a.name}" for a in node.names if a.name == "time")
+        elif isinstance(node, ast.ImportFrom) and node.module == "time":
+            found.update(f"from time import {a.name}" for a in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "time"):
+            found.add(f"time.{node.attr}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(perfscore.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_module_reads_no_clock(path):
+    allowed = CLOCK_ALLOWED.get(path.name, set())
+    assert set(clock_reads(path.read_text())) <= allowed
+
+
+def test_scan_flags_clock_reads():
+    source = (
+        "import time\nfrom time import monotonic\nimport numpy as np\n"
+        "t = time.perf_counter()\nd = time.monotonic() + np.pi\n"
+    )
+    assert clock_reads(source) == [
+        "from time import monotonic", "import time", "time.monotonic", "time.perf_counter",
+    ]

@@ -9,7 +9,6 @@ import perfscore.solvers as solvers
 from perfscore.bounds import design_exponential_rule
 from perfscore.environment import (
     FixedPointConfig,
-    LinearMap,
     affine_binary,
     bank_run,
     linear,
@@ -18,7 +17,7 @@ from perfscore.environment import (
     shrink_to,
     tabulated,
 )
-from perfscore.errors import DomainError, InvalidArgumentError, SolveTimeoutError
+from perfscore.errors import DomainError, InvalidArgumentError
 from perfscore.scoring import (
     ScoringRule,
     exponential_binary_rule,
@@ -42,6 +41,7 @@ from perfscore.solvers import (
     SolveConfig,
     SolveResult,
     _ascend_rows,
+    _multistart_ascent,
     _pick_best,
     _RowProblem,
     _structured_starts,
@@ -185,6 +185,21 @@ class TestGridOracle:
         assert np.isfinite(res.objective)
 
 
+class TestSolveConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(tol=float("nan")), dict(tol=float("inf")), dict(tol=0.0),
+         dict(step_size=float("nan")), dict(step_size=float("inf")),
+         dict(step_size=-0.5), dict(max_iters=0), dict(max_iters=-3),
+         dict(restarts=0), dict(grid_resolution=0.5),
+         dict(grid_resolution=float("nan")), dict(grid_resolution=0.0)],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_rejected_when_built(self, kwargs):
+        with pytest.raises(InvalidArgumentError):
+            SolveConfig(**kwargs)
+
+
 class TestPerformativeOptimum:
     def test_symmetric_affine_quadratic_optimum_is_fixed_point(self):
         # for the quadratic rule the objective is the parabola
@@ -234,17 +249,18 @@ class TestPerformativeOptimum:
         assert abs(x - 0.6) > 0.05
 
     def test_oracle_dominance_lattice(self):
-        # gradient solver matches the 1e-6 grid oracle across (alpha, p*)
+        # the exact solve and the multi-start ascent each match the 1e-6
+        # grid oracle across (alpha, p*)
         q = quadratic_rule(2)
+        cfg = SolveConfig()
         worst = 0.0
         for alpha in np.linspace(0.0, 1.0, 21):
             for s in np.linspace(0.0, 1.0, 21):
                 env = affine_binary(binary_point(s), alpha)
-                pga = performative_optimum(
-                    q, env, SolveConfig(grid_resolution=1e-4), method="ascent"
-                )
                 grid = grid_optimum_binary(q, env, 1e-6)
-                worst = max(worst, abs(pga.objective - grid.objective))
+                for solve in (performative_optimum, _multistart_ascent):
+                    res = solve(q, env, cfg)
+                    worst = max(worst, abs(res.objective - grid.objective))
         assert worst <= 1e-6
 
     def test_interior_stationarity_invariant(self):
@@ -264,15 +280,18 @@ class TestPerformativeOptimum:
             q.expected_score(res.report, env.eval(res.report)), abs=1e-9
         )
 
-    def test_timeout_raises_with_best_iterate(self):
-        # the default method solves this problem exactly, with no deadline
-        q = quadratic_rule(5)
-        env = random_linear(5, np.random.default_rng(34))
-        with pytest.raises(SolveTimeoutError) as err:
-            performative_optimum(q, env, SolveConfig(timeout_secs=1e-9), method="ascent")
-        best = err.value.best
-        assert best is not None
-        assert best.objective == q.expected_score(best.report, env.eval(best.report))
+    def test_max_iters_caps_the_ascent(self):
+        # the log rule with n = 3 has no exact solver: every row stops at
+        # the iteration cap, unconverged, and the solve still returns a
+        # scored result
+        lg = logarithmic_rule(3)
+        env = random_linear(3, np.random.default_rng(34))
+        cfg = SolveConfig(max_iters=3)
+        starts = _structured_starts(lg, 3, cfg, np.random.default_rng(cfg.seed))
+        rows = _ascend_rows(_RowProblem(lg, env), starts, cfg.max_iters, cfg.step_size, cfg.tol)
+        assert rows.iterations.max() <= cfg.max_iters and not rows.converged.any()
+        res = performative_optimum(lg, env, cfg)
+        assert res.objective == lg.expected_score(res.report, env.eval(res.report))
 
     @pytest.mark.parametrize(
         "rule",
@@ -321,20 +340,18 @@ class TestMethodDispatch:
          shrink_to(SimplexPoint([0.1, 0.2, 0.3, 0.4]), 0.4)],
         ids=["linear3", "linear5", "shrink4"],
     )
-    def test_quadratic_linear_returns_exact_optimum(self, env):
-        # no ascent runs, so not even a spent wall-clock budget stops it
+    def test_quadratic_linear_returns_exact_optimum(self, env, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exact class ran the ascent")
+
+        monkeypatch.setattr(solvers, "_ascend_rows", forbidden)
         q = quadratic_rule(env.n)
-        res = performative_optimum(q, env, SolveConfig(timeout_secs=1e-9))
+        res = performative_optimum(q, env)
         exact = quadratic_linear_exact_optimum(env)
         assert np.array_equal(res.report.probs, exact.report.probs)
         assert res.objective == q.expected_score(res.report, env.eval(res.report))
         assert res.converged
         assert res.iterations == 2 ** env.n - 1
-
-    def test_unknown_method_rejected(self):
-        env = affine_binary(binary_point(0.7), 0.5)
-        with pytest.raises(InvalidArgumentError):
-            performative_optimum(quadratic_rule(2), env, method="grid")
 
     @pytest.mark.parametrize(
         "rule",
@@ -348,7 +365,7 @@ class TestMethodDispatch:
             env = random_binary_map(family, rng)
             cfg = SolveConfig(grid_resolution=1e-6, seed=k)
             auto = performative_optimum(rule, env, cfg)
-            ascent = performative_optimum(rule, env, cfg, method="ascent")
+            ascent = _multistart_ascent(rule, env, cfg)
             scale = max(1.0, abs(ascent.objective))
             assert auto.objective >= ascent.objective - 2e-7 * scale
             assert auto.objective == rule.expected_score(auto.report, env.eval(auto.report))
@@ -360,7 +377,7 @@ class TestMethodDispatch:
         env = random_linear(n, np.random.default_rng(seed))
         auto = performative_optimum(q, env)
         exact = quadratic_linear_exact_optimum(env)
-        ascent = performative_optimum(q, env, SolveConfig(seed=seed), method="ascent")
+        ascent = _multistart_ascent(q, env, SolveConfig(seed=seed))
         assert auto.objective == pytest.approx(exact.objective, abs=1e-12)
         assert auto.objective >= ascent.objective - 1e-9
 
@@ -746,16 +763,8 @@ def _ref_starts(rule, n, cfg, rng):
 def reference_optimum(rule, f, cfg):
     """(final result, start points, per-start results) of the sequential solver."""
     starts = _ref_starts(rule, f.n, cfg, np.random.default_rng(cfg.seed))
-    oracle = None
-    if f.n == 2:
-        oracle = grid_optimum_binary(rule, f, cfg.grid_resolution)
-    elif rule.kind == "quadratic" and isinstance(f, LinearMap):
-        oracle = quadratic_linear_exact_optimum(f)
-    if oracle is not None:
-        starts.append(oracle.report)
     rows = [_ref_ascend(rule, f, s, cfg) for s in starts]
-    candidates = rows[:-1] + [oracle, rows[-1]] if oracle is not None else rows
-    best = _ref_polish(rule, f, _pick_best(candidates), cfg)
+    best = _ref_polish(rule, f, _pick_best(rows), cfg)
     return best, starts, rows
 
 
@@ -786,7 +795,7 @@ class TestBatchedAscentMatchesSequentialReference:
     def test_final_and_converged_rows_agree(self, rule, env):
         cfg = SolveConfig(seed=7)
         ref, starts, ref_rows = reference_optimum(rule, env, cfg)
-        got = performative_optimum(rule, env, cfg, method="ascent")
+        got = _multistart_ascent(rule, env, cfg)
         scale = max(1.0, abs(ref.objective))
         assert abs(got.objective - _ref_objective(rule, env, ref.report)) <= 1e-12 * scale
         assert np.max(np.abs(got.report.probs - ref.report.probs)) <= 1e-6
