@@ -7,7 +7,8 @@ phi(p) = S(p, f(p)), whose gradient decomposes as
 
 ``performative_optimum`` has one solver per problem class.  The
 quadratic rule under a linear map with n > 2 is a standard quadratic
-program, solved exactly by support enumeration.  A binary problem is
+program, solved exactly by support enumeration (``_quadratic_simplex_rows``,
+one stacked solve per support size).  A binary problem is
 solved exactly by critical-point enumeration: phi is evaluated only at
 the ends, the map's knots and each piece's stationary points (closed
 forms, or roots bracketed for ``brentq``).  Everything else (phi is not
@@ -19,8 +20,10 @@ simplex projection, each row with its own step, backtracking and stops;
 the iterates get the ``SimplexPoint`` checks as array checks, and point
 objects are built only for the returned results.  The market best
 responses in ``games`` run on the same kernel, except under the quadratic
-rule and a linear map, where a batched support enumeration solves them
-exactly.  The remaining routines
+rule and a linear map, where they are rows of the support enumeration.
+Every choice among candidates follows one tie rule (``_best_index``):
+within 1e-12 of the best value, the lexicographically smallest report
+wins.  The remaining routines
 implement the dynamics that converge to fixed points instead of optima:
 fixed-point iteration of f (repeated risk minimization), ascent on the
 frozen-belief objective Dg(p)^T (f(p) - p) (repeated gradient ascent), and
@@ -156,28 +159,17 @@ def _objective(rule: ScoringRule, f: EnvironmentMap, p: SimplexPoint) -> float:
     return rule.expected_score(p, f.eval(p))
 
 
-def _lexicographically_smaller(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return False
+def _best_index(X: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The one tie rule: per row, the index of the lexicographically smallest
+    point among those valued within OBJECTIVE_TIE_TOL of the row's maximum.
 
-
-def _pick_best(candidates):
-    """Best (objective, result); ties within 1e-12 go to the smallest report."""
-    best = None
-    for res in candidates:
-        if best is None:
-            best = res
-            continue
-        if res.objective > best.objective + OBJECTIVE_TIE_TOL:
-            best = res
-        elif abs(res.objective - best.objective) <= OBJECTIVE_TIE_TOL:
-            if _lexicographically_smaller(best.report.probs, res.report.probs):
-                continue
-            if _lexicographically_smaller(res.report.probs, best.report.probs):
-                best = res
-    return best
+    X is (..., m, n) and ``values`` (..., m); returns the (...) indices.
+    """
+    keep = values >= values.max(axis=-1, keepdims=True) - OBJECTIVE_TIE_TOL
+    for j in range(X.shape[-1]):
+        column = np.where(keep, X[..., j], np.inf)
+        keep &= column == column.min(axis=-1, keepdims=True)
+    return keep.argmax(axis=-1)
 
 
 @dataclass
@@ -189,14 +181,6 @@ class _Rows:
     converged: np.ndarray
     iterations: np.ndarray
     gradient_norm: np.ndarray
-
-    def results(self) -> list:
-        return [
-            SolveResult(SimplexPoint(p), float(phi), bool(c), int(it), float(gn))
-            for p, phi, c, it, gn in zip(
-                self.P, self.phi, self.converged, self.iterations, self.gradient_norm
-            )
-        ]
 
 
 def _ascend_rows(
@@ -265,49 +249,56 @@ def _ascend_rows(
     return rows
 
 
-def _polish_interior(problem: _RowProblem, res: SolveResult, cfg: SolveConfig) -> SolveResult:
-    """Drive the gradient norm below tol at an interior optimum.
+def _polish_interior(problem: _RowProblem, rows: _Rows, k: int, cfg: SolveConfig) -> SolveResult:
+    """Row k of a finished ascent as a result, its gradient norm driven
+    below tol at an interior optimum.
 
     The line-search ascent cannot resolve objective improvements below
     floating rounding (~1e-8 displacements), so the final sharpening
-    accepts steps by gradient-norm decrease instead.
+    accepts steps by gradient-norm decrease instead.  It takes at most
+    ``cfg.max_iters`` minus the row's iterations, so ``iterations`` never
+    exceeds ``cfg.max_iters``.
     """
-    if not res.report.is_interior(1e-9):
-        return res
-    X = res.report.probs[None, :]
-    G = problem.gradient(X, None)
-    gn = float(_row_norms(G)[0])
-    phi = float(problem.objective(X, None)[0])
-    # allowance below which objective changes are indistinguishable from
-    # rounding; large enough to admit genuine polish steps, small enough to
-    # veto jumps out of the basin
-    slack = 1e-9 * max(1.0, abs(phi))
-    it = res.iterations
-    for _ in range(200):
-        if gn <= cfg.tol:
-            break
-        step = cfg.step_size
-        accepted = None
-        for _ in range(MAX_BACKTRACKS + 1):
-            cand = checked_rows(project_rows(X + step * G))
-            if problem.rule._defined_rows(cand)[0]:
-                cand_G = problem.gradient(cand, None)
-                cand_gn = float(_row_norms(cand_G)[0])
-            else:
-                cand_gn = float("inf")
-            if cand_gn < gn and problem.objective(cand, None)[0] >= phi - slack:
-                accepted = (cand, cand_G, cand_gn)
-                break
-            step *= 0.5
-        if accepted is None:
-            break
-        X, G, gn = accepted
+    report = SimplexPoint(rows.P[k])
+    start = it = int(rows.iterations[k])
+    gn = float(rows.gradient_norm[k])
+    if report.is_interior(1e-9):
+        X = report.probs[None, :]
+        G = problem.gradient(X, None)
+        gn = float(_row_norms(G)[0])
         phi = float(problem.objective(X, None)[0])
-        it += 1
+        # allowance below which objective changes are indistinguishable from
+        # rounding; large enough to admit genuine polish steps, small enough to
+        # veto jumps out of the basin
+        slack = 1e-9 * max(1.0, abs(phi))
+        for _ in range(cfg.max_iters - start):
+            if gn <= cfg.tol:
+                break
+            step = cfg.step_size
+            accepted = None
+            for _ in range(MAX_BACKTRACKS + 1):
+                cand = checked_rows(project_rows(X + step * G))
+                if problem.rule._defined_rows(cand)[0]:
+                    cand_G = problem.gradient(cand, None)
+                    cand_gn = float(_row_norms(cand_G)[0])
+                else:
+                    cand_gn = float("inf")
+                if cand_gn < gn and problem.objective(cand, None)[0] >= phi - slack:
+                    accepted = (cand, cand_G, cand_gn)
+                    break
+                step *= 0.5
+            if accepted is None:
+                break
+            X, G, gn = accepted
+            phi = float(problem.objective(X, None)[0])
+            it += 1
+        if it > start:
+            report = SimplexPoint(X[0])
     return SolveResult(
-        report=SimplexPoint(X[0]) if it > res.iterations else res.report,
-        objective=phi,
-        converged=res.converged or gn <= cfg.tol,
+        report=report,
+        # the recomputable objective, as the exact paths store it
+        objective=_objective(problem.rule, problem.f, report),
+        converged=bool(rows.converged[k]) or gn <= cfg.tol,
         iterations=it,
         gradient_norm_final=gn,
     )
@@ -344,7 +335,8 @@ def _binary_grid(rule: ScoringRule, resolution: float) -> np.ndarray:
 
 
 def _first_argmax(phi: np.ndarray) -> int:
-    """Index of the first value within OBJECTIVE_TIE_TOL of the maximum."""
+    """Index of the first value within OBJECTIVE_TIE_TOL of the maximum:
+    ``_best_index``'s tie rule on a grid sorted by increasing p1."""
     top = float(np.max(phi))
     return int(np.flatnonzero(phi >= top - OBJECTIVE_TIE_TOL)[0])
 
@@ -445,18 +437,8 @@ def _multistart_ascent(rule: ScoringRule, f: EnvironmentMap, cfg: SolveConfig) -
     """
     starts = _structured_starts(rule, f.n, cfg, np.random.default_rng(cfg.seed))
     problem = _RowProblem(rule, f)
-    candidates = _ascend_rows(
-        problem, starts, cfg.max_iters, cfg.step_size, cfg.tol
-    ).results()
-    best = _polish_interior(problem, _pick_best(candidates), cfg)
-    # store the recomputable objective for the winning report
-    return SolveResult(
-        report=best.report,
-        objective=_objective(rule, f, best.report),
-        converged=best.converged,
-        iterations=best.iterations,
-        gradient_norm_final=best.gradient_norm_final,
-    )
+    rows = _ascend_rows(problem, starts, cfg.max_iters, cfg.step_size, cfg.tol)
+    return _polish_interior(problem, rows, int(_best_index(rows.P, rows.phi)), cfg)
 
 
 def _quadratic_linear(rule: ScoringRule, f: EnvironmentMap) -> bool:
@@ -466,64 +448,26 @@ def _quadratic_linear(rule: ScoringRule, f: EnvironmentMap) -> bool:
 
 
 def quadratic_linear_exact_optimum(f: EnvironmentMap) -> SolveResult:
-    """Exact optimum of the quadratic rule under a linear map, by support
-    enumeration.
+    """Exact optimum of the quadratic rule under a linear map, the solver
+    ``performative_optimum`` runs for this class.
 
     For f(p) = A p the objective is the quadratic form p^T (A + A^T - I) p,
-    whose maximum over the simplex is attained at a vertex or at a
-    stationary point of some face.  Enumerating all supports is exact and
-    cheap for the small n used here; serves as an independent oracle for
-    the gradient solver.
+    maximized over the simplex by support enumeration
+    (``_quadratic_simplex_rows`` on one row); ``iterations`` counts the
+    2^n - 1 supports.
     """
     A = getattr(f, "A", None)
     if A is None:
         raise InvalidArgumentError("exact oracle requires a linear environment")
-    n = f.n
-    M = A + A.T - np.eye(n)
-    best_x, best_val = None, -np.inf
-    for size in range(1, n + 1):
-        for support in combinations(range(n), size):
-            idx = list(support)
-            if size == 1:
-                x = np.zeros(n)
-                x[idx[0]] = 1.0
-            else:
-                sub = M[np.ix_(idx, idx)]
-                try:
-                    y = np.linalg.solve(sub, np.ones(size))
-                except np.linalg.LinAlgError:
-                    continue
-                total = y.sum()
-                if abs(total) < 1e-14:
-                    continue
-                y = y / total
-                if np.any(y <= 0.0):
-                    continue
-                x = np.zeros(n)
-                x[idx] = y
-            val = float(x @ M @ x)
-            if val > best_val + OBJECTIVE_TIE_TOL or (
-                abs(val - best_val) <= OBJECTIVE_TIE_TOL
-                and best_x is not None
-                and _lexicographically_smaller(x, best_x)
-            ):
-                best_x, best_val = x, val
-    report = SimplexPoint(best_x)
+    M = A + A.T - np.eye(f.n)
+    x = _quadratic_simplex_rows(M[None])[0]
     return SolveResult(
-        report=report,
-        objective=best_val,
+        report=SimplexPoint(x),
+        objective=float(x @ M @ x),
         converged=True,
-        iterations=2 ** n - 1,
+        iterations=2 ** f.n - 1,
         gradient_norm_final=float("nan"),
     )
-
-
-def _lexicographically_smaller_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise ``_lexicographically_smaller``."""
-    differ = X != Y
-    first = differ.argmax(axis=1)
-    rows = np.arange(X.shape[0])
-    return differ[rows, first] & (X[rows, first] < Y[rows, first])
 
 
 def _solve_or_nan(K: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -540,45 +484,38 @@ def _solve_or_nan(K: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-def _quadratic_simplex_rows(M: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """argmax over the simplex of x^T M_r x + 2 C_r . x for every row r.
+def _quadratic_simplex_rows(M: np.ndarray) -> np.ndarray:
+    """argmax over the simplex of x^T M_r x for every row r of a stack of
+    symmetric (R, n, n) matrices; returns the (R, n) maximizers.
 
-    Exact by support enumeration, as in ``quadratic_linear_exact_optimum``
-    but with a linear term and all rows at once: on each support S the
-    stationary points solve the bordered system M_SS x + mu 1 = -C_S,
-    1^T x = 1, one stacked solve for all rows.  A row skips a face whose
-    system is singular or whose solution is not strictly positive.  Ties
-    within 1e-12 go to the lexicographically smaller report.  M is
-    (R, n, n), C is (R, n); returns the (R, n) maximizers.
+    A standard quadratic program (Bomze 1998), solved exactly by support
+    enumeration: the maximum sits at a vertex or at a stationary point of
+    a face S, where M_SS y = 1 and x_S = y / sum(y).  Vertices need no
+    solve; each larger support size takes one stacked solve over all rows
+    and all its supports.  A face is
+    skipped where M_SS is singular, |sum(y)| < 1e-14 or an entry of x_S is
+    <= 0.  ``_best_index`` picks each row's winner.
     """
-    R, n = C.shape
-    best_x = np.zeros((R, n))
-    best_val = np.full(R, -np.inf)
-    for size in range(1, n + 1):
-        for support in combinations(range(n), size):
-            idx = list(support)
-            X = np.zeros((R, n))
-            if size == 1:
-                X[:, idx[0]] = 1.0
-                ok = np.ones(R, dtype=bool)
-            else:
-                K = np.ones((R, size + 1, size + 1))
-                K[:, :size, :size] = M[:, idx][:, :, idx]
-                K[:, size, size] = 0.0
-                b = np.ones((R, size + 1))
-                b[:, :size] = -C[:, idx]
-                y = _solve_or_nan(K, b)[:, :size]
-                ok = np.all(y > 0.0, axis=1)
-                X[:, idx] = y
-            val = np.einsum("ri,ri->r", X, np.einsum("rij,rj->ri", M, X) + 2.0 * C)
-            take = ok & (
-                (val > best_val + OBJECTIVE_TIE_TOL)
-                | ((np.abs(val - best_val) <= OBJECTIVE_TIE_TOL)
-                   & _lexicographically_smaller_rows(X, best_x))
-            )
-            best_x[take] = X[take]
-            best_val[take] = val[take]
-    return best_x
+    R, n = M.shape[:2]
+    points = [np.broadcast_to(np.eye(n), (R, n, n))]
+    values = [np.diagonal(M, axis1=1, axis2=2)]
+    for size in range(2, n + 1):
+        S = np.array(list(combinations(range(n), size)))
+        m = S.shape[0]
+        sub = M[:, S[:, :, None], S[:, None, :]]
+        y = _solve_or_nan(sub.reshape(-1, size, size), np.ones((R * m, size)))
+        y = y.reshape(R, m, size)
+        total = y.sum(axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = y / total[..., None]
+        ok = (np.abs(total) >= 1e-14) & np.all(x > 0.0, axis=2)
+        x[~ok] = 0.0
+        X = np.zeros((R, m, n))
+        X[:, np.arange(m)[:, None], S] = x
+        points.append(X)
+        values.append(np.where(ok, np.einsum("rmi,rmij,rmj->rm", x, sub, x), -np.inf))
+    X = np.concatenate(points, axis=1)
+    return X[np.arange(R), _best_index(X, np.concatenate(values, axis=1))]
 
 
 # -- fixed-point dynamics -----------------------------------------------------

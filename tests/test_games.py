@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,7 @@ from perfscore.simplex import (
 from perfscore.solvers import (
     MAX_BACKTRACKS,
     SolveConfig,
+    _RowProblem,
     constant_policy_trace,
     online_sgd,
     inverse_schedule,
@@ -180,6 +183,15 @@ class TestMarket:
         assert all(ok for _, _, ok in checks)
         assert max(eq.per_player_br_gap) <= 1e-12
 
+    @pytest.mark.parametrize("N", [2, 5, 10, 50])
+    def test_power_bound_is_tight(self, N):
+        # criterion 10's markets: each interior best response meets the
+        # bound with equality, up to the equilibrium's own residual
+        env = affine_binary(binary_point(0.7), 0.5)
+        game = MarketGame(Q2, env, tuple([1.0 / N] * N))
+        checks = market_power_bound_check(market_equilibrium(game), game)
+        assert max(abs(lhs / rhs - 1.0) for lhs, rhs, _ in checks) <= 1e-6
+
     def test_small_trader_is_accurate(self):
         env = affine_binary(binary_point(0.7), 0.5)
         game = MarketGame(Q2, env, (0.98, 0.02))
@@ -262,17 +274,17 @@ class TestExactBestResponse:
 
     @pytest.mark.parametrize("alpha", [-0.2, 0.3, 0.5, 0.8])
     def test_single_quadratic_trader_is_performative_optimum(self, alpha):
-        # alpha = 0.5: phi is linear in p1, the full face's stationarity
-        # system is singular and the vertex (1, 0) wins; alpha = 0.8: the
-        # best response is not concave
+        # alpha = 0.5: phi is linear in p1, the full face has no stationary
+        # point (M y = 1 has sum(y) = 0) and the vertex (1, 0) wins;
+        # alpha = 0.8: the best response is not concave
         env = affine_binary(binary_point(0.7), alpha)
         eq = market_equilibrium(MarketGame(Q2, env, (1.0,)))
         expected = performative_optimum(Q2, env).report.probs
         assert np.max(np.abs(eq.predictions[0].probs - expected)) <= 1e-12
 
     def test_singular_face_is_skipped_per_row(self):
-        # row 0 is the lone trader at alpha = 0.5, whose full-face system is
-        # singular; row 1 is a half-weight trader with a regular system
+        # row 0 is the lone trader at alpha = 0.5, whose full face has no
+        # stationary point; row 1 is a half-weight trader with one
         game = MarketGame(Q2, affine_binary(binary_point(0.7), 0.5), (0.5, 0.5))
         own = np.array([[0.5, 0.5], [0.5, 0.5]])
         rest = np.array([[0.0, 0.0], [0.1, 0.4]])
@@ -284,6 +296,23 @@ class TestExactBestResponse:
             assert np.array_equal(both[r], alone[0])
         assert np.array_equal(both[0], [1.0, 0.0])
         assert 0.0 < both[1][0] < 1.0
+
+    def test_matches_bordered_kernel(self):
+        rng = np.random.default_rng(131)
+        for n in range(2, 6):
+            for _ in range(50):
+                N = int(rng.integers(2, 6))
+                game = MarketGame(quadratic_rule(n), random_linear(n, rng),
+                                  tuple(rng.dirichlet(np.ones(N))))
+                w = np.asarray(game.weights)
+                profile = sample_simplex_points(n, N, rng)
+                rest = (w[:, None] * profile).sum(axis=0) - w[:, None] * profile
+                problem = _RowProblem(game.rule, game.f, rest, w)
+                got = problem.objective(_best_responses(game, profile, rest, w, 200, 1e-10),
+                                        np.arange(N))
+                ref = problem.objective(_ref_bordered_best_responses(game.f.A, rest, w),
+                                        np.arange(N))
+                assert np.max(np.abs(got - ref)) <= 1e-12, (n, N)
 
     @pytest.mark.parametrize("mode", ["synchronous", "round-robin"])
     @pytest.mark.parametrize("case", ["binary N=2", "binary N=50", "n=3"])
@@ -310,6 +339,48 @@ class TestExactBestResponse:
 
 class _AscentCalled(Exception):
     pass
+
+
+def _ref_bordered_best_responses(A, rest, weight):
+    """The bordered support enumeration the one-form kernel replaced: on each
+    support S of every row, M_SS x + mu 1 = -C_S with 1^T x = 1, for the
+    score x^T M x + 2 C . x with M = w (A + A^T) - I and C = A rest."""
+    R, n = rest.shape
+    M = weight[:, None, None] * (A + A.T) - np.eye(n)
+    C = rest @ A.T
+    best_x = np.zeros((R, n))
+    best_val = np.full(R, -np.inf)
+    for size in range(1, n + 1):
+        for support in itertools.combinations(range(n), size):
+            idx = list(support)
+            X = np.zeros((R, n))
+            if size == 1:
+                X[:, idx[0]] = 1.0
+                ok = np.ones(R, dtype=bool)
+            else:
+                K = np.ones((R, size + 1, size + 1))
+                K[:, :size, :size] = M[:, idx][:, :, idx]
+                K[:, size, size] = 0.0
+                b = np.ones((R, size + 1))
+                b[:, :size] = -C[:, idx]
+                y = np.full((R, size), np.nan)
+                for r in range(R):
+                    try:
+                        y[r] = np.linalg.solve(K[r], b[r])[:size]
+                    except np.linalg.LinAlgError:
+                        continue
+                ok = np.all(y > 0.0, axis=1)
+                X[:, idx] = y
+            val = np.einsum("ri,ri->r", X, np.einsum("rij,rj->ri", M, X) + 2.0 * C)
+            differ = X != best_x
+            first = differ.argmax(axis=1)
+            rows = np.arange(R)
+            smaller = differ[rows, first] & (X[rows, first] < best_x[rows, first])
+            take = ok & ((val > best_val + 1e-12)
+                         | ((np.abs(val - best_val) <= 1e-12) & smaller))
+            best_x[take] = X[take]
+            best_val[take] = val[take]
+    return best_x
 
 
 def _no_ascent(*args, **kwargs):

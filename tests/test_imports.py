@@ -4,7 +4,9 @@ Every module uses each name it imports (the package re-exports its names
 from ``__init__``, which is exempt), and no result can depend on
 wall-clock time: only ``harness`` reads the clock, through
 ``time.perf_counter`` for the ``runtime_ms`` field, which the CLI zeroes
-unless ``--volatile-runtime`` is given.
+unless ``--volatile-runtime`` is given.  Simplex faces are enumerated in
+one place: the package calls ``itertools.combinations`` once, in the
+support-enumeration kernel.
 """
 
 import ast
@@ -75,3 +77,31 @@ def test_scan_flags_clock_reads():
     assert clock_reads(source) == [
         "from time import monotonic", "import time", "time.monotonic", "time.perf_counter",
     ]
+
+
+def combinations_calls(source: str) -> int:
+    """Calls of ``combinations`` or ``itertools.combinations``."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "combinations":
+                count += 1
+            elif (isinstance(func, ast.Attribute) and func.attr == "combinations"
+                  and isinstance(func.value, ast.Name) and func.value.id == "itertools"):
+                count += 1
+    return count
+
+
+def test_one_face_enumeration():
+    sources = sorted(Path(perfscore.__file__).parent.glob("*.py"))
+    assert sum(combinations_calls(path.read_text()) for path in sources) == 1
+
+
+def test_scan_counts_combinations_calls():
+    source = (
+        "import itertools\nfrom itertools import combinations\n"
+        "a = list(combinations(range(3), 2))\nb = itertools.combinations(x, k)\n"
+        "c = combinations\n"
+    )
+    assert combinations_calls(source) == 2

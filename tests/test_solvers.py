@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -42,7 +43,7 @@ from perfscore.solvers import (
     SolveResult,
     _ascend_rows,
     _multistart_ascent,
-    _pick_best,
+    _quadratic_simplex_rows,
     _RowProblem,
     _structured_starts,
     constant_policy_trace,
@@ -293,6 +294,14 @@ class TestPerformativeOptimum:
         res = performative_optimum(lg, env, cfg)
         assert res.objective == lg.expected_score(res.report, env.eval(res.report))
 
+    def test_polish_stays_within_max_iters(self):
+        # the winning row of test_max_iters_caps_the_ascent stops at the cap,
+        # so the interior polish has no steps left
+        lg = logarithmic_rule(3)
+        env = random_linear(3, np.random.default_rng(34))
+        res = performative_optimum(lg, env, SolveConfig(max_iters=3))
+        assert res.iterations == 3 and not res.converged
+
     @pytest.mark.parametrize(
         "rule",
         [quadratic_rule(2), logarithmic_rule(2), exponential_binary_rule(3.0)],
@@ -330,6 +339,77 @@ class TestExactQuadraticLinearOracle:
     def test_requires_linear(self):
         with pytest.raises(InvalidArgumentError):
             quadratic_linear_exact_optimum(bank_run())
+
+    def test_matches_scalar_face_loop(self):
+        # five-outcome maps as many_outcome_experiment draws them (perfbench's
+        # population seed 2305 and seed 1), 200 maps for each n = 3..7, and
+        # shrink maps whose supports tie exactly
+        envs = [
+            random_linear(5, np.random.default_rng(np.random.SeedSequence([seed, i])))
+            for seed in (2305, 1) for i in range(150)
+        ]
+        envs += [random_linear(n, np.random.default_rng([n, i]))
+                 for n in range(3, 8) for i in range(200)]
+        envs += [shrink_to(uniform_point(4), a) for a in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        for env in envs:
+            x, val = _ref_exact_optimum(env.A)
+            res = quadratic_linear_exact_optimum(env)
+            assert np.array_equal(res.report.probs, SimplexPoint(x).probs), env.descriptor()
+            assert res.objective == val
+
+    def test_shrink_ties_go_to_the_smallest_report(self):
+        # below a = 1/2 every vertex ties; at a = 1/2 the form is constant
+        for a in (0.0, 0.25, 0.5):
+            res = quadratic_linear_exact_optimum(shrink_to(uniform_point(4), a))
+            assert np.array_equal(res.report.probs, [0.0, 0.0, 0.0, 1.0])
+
+    @given(n=st.integers(min_value=2, max_value=6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_dominates_vertices_and_samples(self, n, seed):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(3, n, n))
+        M = B + B.transpose(0, 2, 1)
+        X = _quadratic_simplex_rows(M)
+        assert np.all(X >= 0.0) and np.allclose(X.sum(axis=1), 1.0, atol=1e-12)
+        got = np.einsum("ri,rij,rj->r", X, M, X)
+        samples = np.vstack([sample_simplex_points(n, 200, rng), np.eye(n)])
+        values = np.einsum("si,rij,sj->rs", samples, M, samples)
+        assert np.all(got[:, None] >= values - 1e-12)
+
+
+def _ref_exact_optimum(A):
+    """The scalar support enumeration the batched kernel replaced: one
+    normalized solve per support, sequential ties to the smaller report."""
+    n = A.shape[0]
+    M = A + A.T - np.eye(n)
+    best_x, best_val = None, -np.inf
+    for size in range(1, n + 1):
+        for support in itertools.combinations(range(n), size):
+            idx = list(support)
+            if size == 1:
+                x = np.zeros(n)
+                x[idx[0]] = 1.0
+            else:
+                try:
+                    y = np.linalg.solve(M[np.ix_(idx, idx)], np.ones(size))
+                except np.linalg.LinAlgError:
+                    continue
+                total = y.sum()
+                if abs(total) < 1e-14:
+                    continue
+                y = y / total
+                if np.any(y <= 0.0):
+                    continue
+                x = np.zeros(n)
+                x[idx] = y
+            val = float(x @ M @ x)
+            if val > best_val + 1e-12 or (
+                abs(val - best_val) <= 1e-12
+                and best_x is not None
+                and _ref_lexicographically_smaller(x, best_x)
+            ):
+                best_x, best_val = x, val
+    return best_x, best_val
 
 
 class TestMethodDispatch:
@@ -718,7 +798,7 @@ def _ref_polish(rule, f, res, cfg):
     phi = _ref_objective(rule, f, p)
     slack = 1e-9 * max(1.0, abs(phi))
     it = res.iterations
-    for _ in range(200):
+    for _ in range(cfg.max_iters - res.iterations):
         if gn <= cfg.tol:
             break
         grad = _ref_gradient(rule, f, p)
@@ -760,11 +840,35 @@ def _ref_starts(rule, n, cfg, rng):
     return starts[: cfg.restarts]
 
 
+def _ref_lexicographically_smaller(a, b):
+    for x, y in zip(a, b):
+        if x != y:
+            return x < y
+    return False
+
+
+def _ref_pick_best(candidates):
+    """Best (objective, result); ties within 1e-12 go to the smallest report."""
+    best = None
+    for res in candidates:
+        if best is None:
+            best = res
+            continue
+        if res.objective > best.objective + 1e-12:
+            best = res
+        elif abs(res.objective - best.objective) <= 1e-12:
+            if _ref_lexicographically_smaller(best.report.probs, res.report.probs):
+                continue
+            if _ref_lexicographically_smaller(res.report.probs, best.report.probs):
+                best = res
+    return best
+
+
 def reference_optimum(rule, f, cfg):
     """(final result, start points, per-start results) of the sequential solver."""
     starts = _ref_starts(rule, f.n, cfg, np.random.default_rng(cfg.seed))
     rows = [_ref_ascend(rule, f, s, cfg) for s in starts]
-    best = _ref_polish(rule, f, _pick_best(rows), cfg)
+    best = _ref_polish(rule, f, _ref_pick_best(rows), cfg)
     return best, starts, rows
 
 
@@ -803,12 +907,13 @@ class TestBatchedAscentMatchesSequentialReference:
         rows = _ascend_rows(
             _RowProblem(rule, env), np.array([s.probs for s in starts]),
             cfg.max_iters, cfg.step_size, cfg.tol,
-        ).results()
-        both = [(a, b) for a, b in zip(rows, ref_rows) if a.converged and b.converged]
+        )
+        both = [k for k, b in enumerate(ref_rows) if rows.converged[k] and b.converged]
         assert both
-        for a, b in both:
-            assert abs(a.objective - b.objective) <= 1e-12 * max(1.0, abs(b.objective))
-            assert np.max(np.abs(a.report.probs - b.report.probs)) <= 1e-6
+        for k in both:
+            b = ref_rows[k]
+            assert abs(rows.phi[k] - b.objective) <= 1e-12 * max(1.0, abs(b.objective))
+            assert np.max(np.abs(rows.P[k] - b.report.probs)) <= 1e-6
 
 
 # -- per-step online references --------------------------------------------------
