@@ -79,7 +79,6 @@ from .simplex import (
     TangentVector,
     binary_point,
     l2_distance,
-    logit_distance,
     project_to_simplex,
     project_to_shrunk_simplex,
     sample_simplex_points,

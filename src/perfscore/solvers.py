@@ -32,8 +32,9 @@ its stochastic single-outcome counterpart (online SGD).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,8 +47,8 @@ from .simplex import (
     TangentVector,
     binary_point,
     checked_rows,
-    project_raw,
     project_rows,
+    project_shrunk_raw,
     project_to_simplex,
     sample_simplex_points,
 )
@@ -638,33 +639,40 @@ def online_sgd(
     ascends the per-outcome gradient Dg(P_t)^T (e_{Y_t} - P_t).  In
     expectation this is the frozen-belief ascent, so the dynamics track
     fixed points of f.  The log rule projects onto the 1e-6-shrunk simplex
-    to keep scores and gradients bounded.
+    to keep scores and gradients bounded, and must start off the boundary.
+
+    A round makes two kernel calls, the map row ``f._rows`` and the
+    gradient row ``_belief_gradient_rows``; the draw, the centring, the step
+    and the projection run on Python floats, in the order of the array
+    operations they replace.
     """
     if T < 0:
         raise InvalidArgumentError("T must be >= 0")
-    rng = np.random.default_rng(seed)
     n = f.n
+    if rule.n != n:
+        raise InvalidArgumentError(f"dimension mismatch: rule n={rule.n} vs map n={n}")
+    rule._checked_row(p0, "gradient")
     margin = LOG_INTERIOR_NUDGE if rule.interior_reports else 0.0
-    scale = 1.0 - n * margin
+    rng = np.random.default_rng(seed)
     reports = np.empty((T + 1, n))
     outcomes = np.empty(T, dtype=np.int64)
-    uniforms = rng.random(T)
-    onehot = np.eye(n)
-    v = p0.probs.copy()
+    onehot = np.eye(n)[:, None, :]  # outcome y as a (1, n) belief row
+    v = p0.probs.tolist()
     reports[0] = v
-    for t in range(1, T + 1):
-        q = f.eval_raw(v)
-        y = min(int(np.searchsorted(np.cumsum(q), uniforms[t - 1])), n - 1)
+    # iterating the buffer yields the uniforms as Python floats
+    for t, u in enumerate(rng.random(T).data, 1):
+        P = reports[t - 1:t]
+        y = min(bisect_left(list(accumulate(f._rows(P).tolist()[0])), u), n - 1)
         outcomes[t - 1] = y
         alpha = schedule(t)
         if alpha <= 0:
             raise InvalidArgumentError(f"schedule produced alpha_{t} = {alpha}")
-        g = rule._belief_gradient_rows(v[None, :], onehot[y:y + 1])[0]
-        stepped = v + alpha * (g - g.mean())
-        if margin > 0.0:
-            v = margin + scale * project_raw((stepped - margin) / scale)
-        else:
-            v = project_raw(stepped)
+        g = rule._belief_gradient_rows(P, onehot[y]).tolist()[0]
+        mean = 0.0
+        for d in g:
+            mean += d
+        mean /= n
+        v = project_shrunk_raw([x + alpha * (d - mean) for x, d in zip(v, g)], margin)
         reports[t] = v
     scores = rule.score_rows(reports[:T], outcomes)
     return OnlineTrace(reports=reports, outcomes=outcomes, scores=scores, seed=seed)
