@@ -62,7 +62,8 @@ def _add_common(sub, rule=True, env=True):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--timeout-secs", type=float, default=120.0,
                      help="accepted and ignored: no solve has a wall-clock budget")
-    sub.add_argument("--jobs", type=int, default=1)
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="accepted and ignored: many-outcome runs as one batch")
     sub.add_argument("--volatile-runtime", action="store_true",
                      help="emit real wall-clock runtime_ms (breaks byte determinism)")
 
@@ -129,11 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _freeze_runtime(records, volatile):
-    if volatile:
-        return records
-    for r in records:
-        r.runtime_ms = 0.0
-    return records
+    if not volatile:
+        for r in records:
+            r.runtime_ms = 0.0
 
 
 def _write(text: str, path):
@@ -177,11 +176,8 @@ def _run(args) -> int:
             n=args.n, trials=args.trials, seed=args.seed, jobs=args.jobs,
         )
         _freeze_runtime(records, args.volatile_runtime)
-        if args.format == "csv":
-            _write(harness.emit(records, "csv"), args.out)
-        else:
-            payload = {"records": records, "summary": summary}
-            _write(harness.to_json(payload), args.out)
+        payload = records if args.format == "csv" else {"records": records, "summary": summary}
+        _write(harness.emit(payload, args.format), args.out)
         return 0
 
     if cmd == "counterexample":

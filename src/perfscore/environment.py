@@ -37,6 +37,7 @@ from .errors import InvalidArgumentError, IterationLimitError
 from .simplex import (
     SimplexPoint,
     binary_point,
+    norm_rows,
     sample_simplex_points,
     tangent_operator_norm,
     uniform_point,
@@ -263,14 +264,20 @@ def linear(A) -> EnvironmentMap:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidArgumentError(f"A must be square, got shape {A.shape}")
+    return LinearMap(checked_stochastic(A))
+
+
+def checked_stochastic(A: np.ndarray) -> np.ndarray:
+    """``linear``'s checks on one matrix or an (R, n, n) stack: columns finite,
+    >= -1e-12 and summing to 1 within 1e-9.  Returns A clamped at 0."""
     if not np.all(np.isfinite(A)):
         raise InvalidArgumentError("A must be finite")
     if np.any(A < -_BOUNDARY_SLACK):
         raise InvalidArgumentError("columns of A must be nonnegative")
-    sums = A.sum(axis=0)
+    sums = A.sum(axis=-2)
     if np.any(np.abs(sums - 1.0) > 1e-9):
         raise InvalidArgumentError(f"columns of A must sum to 1, got {sums}")
-    return LinearMap(np.clip(A, 0.0, None))
+    return np.clip(A, 0.0, None)
 
 
 def random_linear(n: int, rng: np.random.Generator) -> EnvironmentMap:
@@ -440,37 +447,51 @@ def find_fixed_points(f: EnvironmentMap, cfg: FixedPointConfig = None) -> FixedP
             if not deduped or r - deduped[-1] > 1e-9:
                 deduped.append(r)
         points = [binary_point(r) for r in deduped]
-        _verify_fixed_points(f, points, cfg.residual_tol)
+        P = np.array([p.probs for p in points])
+        _verified(P, f._rows(P), cfg.residual_tol)
         unique = len(points) == 1 and f.lipschitz_estimate() < 1.0
         return FixedPointSet(points, "sign-scan", unique_guaranteed=unique)
 
-    vals, vecs = np.linalg.eig(f.A)
-    idx = int(np.argmin(np.abs(vals - 1.0)))
-    v = np.abs(np.real(vecs[:, idx]))
-    point = _polish_linear_fixed_point(f, SimplexPoint(v / v.sum()))
-    _verify_fixed_points(f, [point], cfg.residual_tol)
-    return FixedPointSet(
-        [point], "eigen", unique_guaranteed=f.lipschitz_estimate() < 1.0
-    )
+    p = SimplexPoint(linear_fixed_point_rows(f.A[None], cfg.residual_tol)[0], renormalize=False)
+    return FixedPointSet([p], "eigen", unique_guaranteed=f.lipschitz_estimate() < 1.0)
 
 
-def _polish_linear_fixed_point(f: EnvironmentMap, p: SimplexPoint) -> SimplexPoint:
-    # one round of power iteration cleans up eigensolver rounding
-    v = p.probs
+def linear_map_rows(A: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """f(P_r) = A_r P_r for every map of an (R, n, n) stack, as ``LinearMap._rows``."""
+    return (P[:, None, :] @ np.swapaxes(A, 1, 2))[:, 0]
+
+
+def linear_fixed_point_rows(A: np.ndarray, residual_tol=FixedPointConfig.residual_tol):
+    """Fixed points of an (R, n, n) column-stochastic stack (A not validated),
+    as (R, n) rows of SimplexPoint probs: one stacked eig for the eigenvector
+    of the eigenvalue nearest 1, then up to 50 power-iteration rounds, a row
+    keeping its last iterate from the first round that would move it less
+    than 1e-15.  A residual above ``residual_tol`` raises.
+    """
+    R = A.shape[0]
+    vals, vecs = np.linalg.eig(A)
+    V = np.abs(np.real(vecs[np.arange(R), :, np.argmin(np.abs(vals - 1.0), axis=1)]))
+    # normalized twice, as SimplexPoint(v / v.sum()) does
+    V = V / V.sum(axis=1, keepdims=True)
+    V = V / V.sum(axis=1, keepdims=True)
+    moving = np.ones(R, dtype=bool)
     for _ in range(50):
-        w = f.A @ v
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-        if np.linalg.norm(w - v) < 1e-15:
+        W = np.clip((A @ V[:, :, None])[:, :, 0], 0.0, None)
+        W /= W.sum(axis=1, keepdims=True)
+        moving &= norm_rows(W - V) >= 1e-15
+        if not moving.any():
             break
-        v = w
-    return SimplexPoint(v)
+        V = np.where(moving[:, None], W, V)
+    # finite nonnegative rows summing to 1: SimplexPoint(v) only renormalizes
+    P = V / V.sum(axis=1, keepdims=True)
+    return _verified(P, linear_map_rows(A, P), residual_tol)
 
 
-def _verify_fixed_points(f: EnvironmentMap, points, residual_tol: float):
-    for p in points:
-        r = np.linalg.norm(f.eval(p).probs - p.probs)
-        if r > residual_tol:
-            raise IterationLimitError(
-                f"candidate fixed point {p!r} has residual {r}", best=p
-            )
+def _verified(P: np.ndarray, F: np.ndarray, residual_tol: float) -> np.ndarray:
+    """Fixed points P with images F; IterationLimitError if ||F_r - P_r|| > tol."""
+    residual = norm_rows(F - P)
+    if residual.max() > residual_tol:
+        k = int(np.argmax(residual > residual_tol))
+        p = SimplexPoint(P[k], renormalize=False)
+        raise IterationLimitError(f"candidate fixed point {p!r} has residual {residual[k]}", best=p)
+    return P

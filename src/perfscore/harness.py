@@ -2,9 +2,8 @@
 random-matrix trials, counterexample demonstrations, CSV/JSON emission.
 
 Determinism contract: every trial derives its RNG stream from
-SeedSequence([seed, trial_index]), so results are identical regardless of
-worker count or scheduling, and identical (command, seed) pairs produce
-byte-identical output files.
+SeedSequence([seed, trial_index]), and identical (command, seed) pairs
+produce byte-identical output files on one platform and BLAS build.
 """
 
 from __future__ import annotations
@@ -13,23 +12,30 @@ import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .environment import find_fixed_points, ramp_binary, random_linear, shrink_to
+from .environment import (
+    checked_stochastic,
+    linear_fixed_point_rows,
+    linear_map_rows,
+    ramp_binary,
+    shrink_to,
+)
 from .errors import InvalidArgumentError
 from .scoring import ScoringRule, quadratic_rule
 from .simplex import (
     SimplexPoint,
-    l2_distance,
-    tangent_operator_norm,
+    checked_rows,
+    norm_rows,
+    sample_simplex_points,
+    tangent_norm_rows,
     uniform_point,
     vertex,
 )
-from .solvers import _binary_grid, _first_argmax, performative_optimum
+from .solvers import _binary_grid, _first_argmax, _quadratic_simplex_rows, performative_optimum
 
 STATUS_OK = "ok"
 
@@ -229,37 +235,6 @@ def max_curves(
 # -- many-outcome experiment ----------------------------------------------------
 
 
-def _run_linear_trial(args):
-    """One seeded trial of the random-matrix experiment (worker-safe)."""
-    n, seed, index = args
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    env = random_linear(n, rng)
-    u = uniform_point(n).probs
-    op_norm = tangent_operator_norm(env.A)
-    fp = find_fixed_points(env).points[0]
-    dist_fp_uniform = float(np.linalg.norm(fp.probs - u))
-    descriptor = f"linear:seed={seed},trial={index},n={n}"
-    t0 = time.perf_counter()
-    rule = quadratic_rule(n)
-    solved = performative_optimum(rule, env)
-    runtime_ms = (time.perf_counter() - t0) * 1e3
-    p = solved.report
-    return ExperimentRecord(
-        env_descriptor=descriptor,
-        op_norm=op_norm,
-        inaccuracy=l2_distance(env.eval(p), p),
-        dist_to_fp=l2_distance(p, fp),
-        dist_fp_uniform=dist_fp_uniform,
-        dist_report_uniform=float(np.linalg.norm(p.probs - u)),
-        bound_Lf=op_norm * (rule.max_subgradient_norm() / rule.min_gamma()),
-        bound_pointwise=op_norm * (rule.subgradient_norm(p) / rule.gamma_at(p)),
-        runtime_ms=runtime_ms,
-        status=STATUS_OK,
-        report=[float(v) for v in p.probs],
-        fixed_point=[float(v) for v in fp.probs],
-    )
-
-
 def summarize_records(records: list) -> ExperimentSummary:
     """Statistics over the ok records.
 
@@ -315,23 +290,47 @@ def many_outcome_experiment(
 ):
     """Random column-stochastic linear environments under the quadratic rule.
 
-    Per trial: draw A with uniform-on-the-simplex columns, find the fixed
-    point by the eigenproblem, solve for the performative optimum, and
-    record the accuracy quantities and both bound forms.  Every trial is a
-    quadratic x linear problem, which ``performative_optimum`` solves
-    exactly by support enumeration, with no wall-clock budget, so every
-    record is ok.  Results are invariant to ``jobs``.
+    Trial i draws A from SeedSequence([seed, i]) as ``random_linear`` does.
+    All trials then run as one array program on the (trials, n, n) stack:
+    one SVD, one eig with its power polish, one support enumeration and row
+    arithmetic.  Each record equals the single-map calls' results for its
+    trial, bit for bit; ``runtime_ms`` is the batch's wall time shared
+    evenly.  ``jobs`` is accepted and ignored.
     """
     if n < 3:
         raise InvalidArgumentError("the many-outcome experiment needs n >= 3")
     if trials < 1:
         raise InvalidArgumentError("trials must be >= 1")
-    tasks = [(n, seed, i) for i in range(trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_linear_trial, tasks, chunksize=16))
-    else:
-        records = [_run_linear_trial(t) for t in tasks]
+    t0 = time.perf_counter()
+    cols = np.stack([
+        sample_simplex_points(n, n, np.random.default_rng(np.random.SeedSequence([seed, i])))
+        for i in range(trials)
+    ])
+    # each A_r is the transposed view of its draw, laid out as random_linear
+    # lays it out, so every BLAS call sees the same operands
+    A = checked_stochastic(np.swapaxes(cols, 1, 2))
+    op_norm = tangent_norm_rows(A)
+    fp = linear_fixed_point_rows(A)
+    P = checked_rows(_quadratic_simplex_rows(A + np.swapaxes(A, 1, 2) - np.eye(n)))
+    u = uniform_point(n).probs
+    rule = quadratic_rule(n)
+    # the quadratic rule's modulus gamma_p is min_gamma() at every p
+    stats = np.column_stack([
+        op_norm,
+        norm_rows(checked_rows(linear_map_rows(A, P)) - P),
+        norm_rows(P - fp),
+        norm_rows(fp - u),
+        norm_rows(P - u),
+        op_norm * (rule.max_subgradient_norm() / rule.min_gamma()),
+        op_norm * (norm_rows(rule._subgradient_rows(P)) / rule.min_gamma()),
+    ]).tolist()
+    runtime_ms = (time.perf_counter() - t0) * 1e3 / trials
+    records = [
+        # the fields in CSV column order, from op_norm to bound_pointwise
+        ExperimentRecord(f"linear:seed={seed},trial={i},n={n}", *stats[i], runtime_ms,
+                         STATUS_OK, P[i].tolist(), fp[i].tolist())
+        for i in range(trials)
+    ]
     return records, summarize_records(records)
 
 
@@ -451,42 +450,17 @@ def _fmt(x) -> str:
 def records_to_csv(records: list) -> str:
     """Render experiment records with the fixed documented column order."""
     has_logit = any(r.logit_inaccuracy is not None for r in records)
-    header = list(CSV_COLUMNS) + (["logit_inaccuracy"] if has_logit else [])
-    lines = [",".join(header)]
-    for r in records:
-        row = [
-            _fmt(r.env_descriptor),
-            _fmt(r.op_norm),
-            _fmt(r.inaccuracy),
-            _fmt(r.dist_to_fp),
-            _fmt(r.dist_fp_uniform),
-            _fmt(r.dist_report_uniform),
-            _fmt(r.bound_Lf),
-            _fmt(r.bound_pointwise),
-            _fmt(r.runtime_ms),
-            r.status,
-        ]
-        if has_logit:
-            row.append(_fmt(r.logit_inaccuracy))
-        lines.append(",".join(row))
+    columns = CSV_COLUMNS + (("logit_inaccuracy",) if has_logit else ())
+    fields = ("env_descriptor",) + columns[1:]
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt(getattr(r, f)) for f in fields) for r in records]
     return "\n".join(lines) + "\n"
 
 
 def max_curves_to_csv(rows: list) -> str:
-    lines = ["alpha,max_inaccuracy,max_dist_to_fp,bound_inaccuracy,bound_dist"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.alpha,
-                    r.max_inaccuracy,
-                    r.max_dist_to_fp,
-                    r.bound_inaccuracy,
-                    r.bound_dist,
-                )
-            )
-        )
+    fields = [f.name for f in dataclasses.fields(MaxCurveRow)]
+    lines = [",".join(fields)]
+    lines += [",".join(_fmt(getattr(r, f)) for f in fields) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -519,17 +493,12 @@ def to_json(payload) -> str:
 
 def emit(payload, fmt: str) -> str:
     """Render records/stats as csv or json text."""
-    if fmt == "csv":
-        if isinstance(payload, list) and payload and isinstance(payload[0], ExperimentRecord):
-            text = records_to_csv(payload)
-        elif isinstance(payload, list) and payload and isinstance(payload[0], MaxCurveRow):
-            text = max_curves_to_csv(payload)
-        elif isinstance(payload, list) and not payload:
-            text = ",".join(CSV_COLUMNS) + "\n"
-        else:
-            raise InvalidArgumentError(f"cannot render {type(payload)} as csv")
-    elif fmt == "json":
-        text = to_json(payload)
-    else:
+    if fmt == "json":
+        return to_json(payload)
+    if fmt != "csv":
         raise InvalidArgumentError(f"unknown format {fmt!r}")
-    return text
+    if isinstance(payload, list) and payload and isinstance(payload[0], MaxCurveRow):
+        return max_curves_to_csv(payload)
+    if isinstance(payload, list) and all(isinstance(r, ExperimentRecord) for r in payload):
+        return records_to_csv(payload)
+    raise InvalidArgumentError(f"cannot render {type(payload)} as csv")

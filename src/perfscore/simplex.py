@@ -12,6 +12,7 @@ orthonormal basis of T, which makes every representation agree.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -274,8 +275,16 @@ def l2_distance(p: SimplexPoint, q: SimplexPoint) -> float:
     return float(np.linalg.norm(p.probs - q.probs))
 
 
+def norm_rows(V: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of an (R, n) array, each equal to
+    ``np.linalg.norm(row)``: the same BLAS dot product, row by row."""
+    return np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+
+
+@functools.lru_cache(maxsize=None)
 def tangent_basis(n: int) -> np.ndarray:
-    """An n x (n-1) orthonormal basis of T (Helmert construction)."""
+    """An n x (n-1) orthonormal basis of T (Helmert construction), built once
+    per n and read-only."""
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
     B = np.zeros((n, n - 1))
@@ -283,17 +292,28 @@ def tangent_basis(n: int) -> np.ndarray:
         B[:k, k - 1] = 1.0
         B[k, k - 1] = -float(k)
         B[:, k - 1] /= math.sqrt(k * (k + 1.0))
+    B.flags.writeable = False
     return B
 
 
-def _restrict_to_tangent(M) -> np.ndarray:
+def _checked_square(M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidArgumentError("matrix entries must be finite")
-    B = tangent_basis(M.shape[0])
+    return M
+
+
+def _restrict_to_tangent(M: np.ndarray) -> np.ndarray:
+    """B^T M B, B the ``tangent_basis``, for a matrix or an (R, n, n) stack."""
+    B = tangent_basis(M.shape[-1])
     return B.T @ M @ B
+
+
+def tangent_norm_rows(M: np.ndarray) -> np.ndarray:
+    """``tangent_operator_norm`` of a matrix or of each in a stack (no checks)."""
+    return np.linalg.svd(_restrict_to_tangent(M), compute_uv=False)[..., 0]
 
 
 def tangent_operator_norm(M) -> float:
@@ -302,13 +322,12 @@ def tangent_operator_norm(M) -> float:
     Conjugation by the centering projector makes the answer independent of
     which R^(n,n) representation of the operator was supplied.
     """
-    MT = _restrict_to_tangent(M)
-    return float(np.linalg.svd(MT, compute_uv=False)[0])
+    return float(tangent_norm_rows(_checked_square(M)))
 
 
 def tangent_min_eigenvalue(M) -> float:
     """Smallest eigenvalue of the symmetrized restriction of M to T."""
-    MT = _restrict_to_tangent(M)
+    MT = _restrict_to_tangent(_checked_square(M))
     MT = 0.5 * (MT + MT.T)
     return float(np.linalg.eigvalsh(MT)[0])
 

@@ -47,6 +47,7 @@ from .simplex import (
     TangentVector,
     binary_point,
     checked_rows,
+    norm_rows,
     project_rows,
     project_shrunk_raw,
     project_to_simplex,
@@ -127,10 +128,6 @@ class _RowProblem:
         if not np.isfinite(V).all():
             raise InvalidArgumentError(f"gradient comps must be finite, got {V}")
         return V
-
-
-def _row_norms(V):
-    return np.sqrt(np.einsum("ij,ij->i", V, V))
 
 
 def performative_gradient(
@@ -215,7 +212,7 @@ def _ascend_rows(
             break
         X = rows.P[live]
         G = problem.gradient(X, live)
-        gn = _row_norms(G)
+        gn = norm_rows(G)
         rows.gradient_norm[live] = gn
         flat = gn <= tol
         rows.converged[live[flat]] = True
@@ -244,7 +241,7 @@ def _ascend_rows(
         live, X, new = live[ok], X[ok], new[ok]
         rows.P[live] = new
         rows.phi[live] = new_phi[ok]
-        still = _row_norms(new - X) > tol
+        still = norm_rows(new - X) > tol
         rows.converged[live[~still]] = True
         live = live[still]
     return rows
@@ -266,7 +263,7 @@ def _polish_interior(problem: _RowProblem, rows: _Rows, k: int, cfg: SolveConfig
     if report.is_interior(1e-9):
         X = report.probs[None, :]
         G = problem.gradient(X, None)
-        gn = float(_row_norms(G)[0])
+        gn = float(norm_rows(G)[0])
         phi = float(problem.objective(X, None)[0])
         # allowance below which objective changes are indistinguishable from
         # rounding; large enough to admit genuine polish steps, small enough to
@@ -281,7 +278,7 @@ def _polish_interior(problem: _RowProblem, rows: _Rows, k: int, cfg: SolveConfig
                 cand = checked_rows(project_rows(X + step * G))
                 if problem.rule._defined_rows(cand)[0]:
                     cand_G = problem.gradient(cand, None)
-                    cand_gn = float(_row_norms(cand_G)[0])
+                    cand_gn = float(norm_rows(cand_G)[0])
                 else:
                     cand_gn = float("inf")
                 if cand_gn < gn and problem.objective(cand, None)[0] >= phi - slack:
@@ -472,17 +469,15 @@ def quadratic_linear_exact_optimum(f: EnvironmentMap) -> SolveResult:
 
 
 def _solve_or_nan(K: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked solve of K_r y_r = b_r; a row whose K_r is singular gets nan."""
+    """Stacked solve of K_r y_r = b_r; a row whose K_r is singular gets nan.
+    A singular stack splits in halves, so s singular rows cost O(s log R) solves."""
     try:
         return np.linalg.solve(K, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for r in range(K.shape[0]):
-            try:
-                out[r] = np.linalg.solve(K[r], b[r])
-            except np.linalg.LinAlgError:
-                continue
-        return out
+        if K.shape[0] == 1:
+            return np.full(b.shape, np.nan)
+        h = K.shape[0] // 2
+        return np.concatenate([_solve_or_nan(K[:h], b[:h]), _solve_or_nan(K[h:], b[h:])])
 
 
 def _quadratic_simplex_rows(M: np.ndarray) -> np.ndarray:

@@ -7,13 +7,14 @@ from perfscore.environment import (
     bank_run,
     find_fixed_points,
     linear,
+    linear_fixed_point_rows,
     parse_environment,
     ramp_binary,
     random_linear,
     shrink_to,
     tabulated,
 )
-from perfscore.errors import InvalidArgumentError
+from perfscore.errors import InvalidArgumentError, IterationLimitError
 from perfscore.simplex import (
     SimplexPoint,
     binary_point,
@@ -253,6 +254,48 @@ class TestFixedPoints:
         fps = find_fixed_points(env)
         assert fps.coordinates() == pytest.approx([0.9], abs=1e-10)
         assert env.exact_fixed_point()[0] == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_stacked_kernel_matches_per_map_polish(self, n):
+        # sparse maps polish for different numbers of rounds, so some rows
+        # of the stack stop while others still move
+        rng = np.random.default_rng(n)
+        A = np.stack([rng.dirichlet(np.full(n, 0.05), size=n).T for _ in range(100)])
+        A = A / A.sum(axis=1, keepdims=True)
+        P = linear_fixed_point_rows(A, 1e-8)
+        rounds = set()
+        for a, p in zip(A, P):
+            want, k = _ref_linear_fixed_point(a)
+            assert np.array_equal(p, want)
+            rounds.add(k)
+        assert 0 in rounds and len(rounds) > 1
+
+    def test_linear_branch_is_the_one_row_kernel(self):
+        env = random_linear(6, np.random.default_rng(4))
+        p = find_fixed_points(env).points[0]
+        assert np.array_equal(p.probs, linear_fixed_point_rows(env.A[None], 1e-8)[0])
+
+    def test_stacked_residual_check_raises(self):
+        # a matrix that is not column-stochastic has no fixed point on the
+        # simplex; the kernel skips validation, so its residual check fires
+        A = np.stack([random_linear(3, np.random.default_rng(0)).A, 0.5 * np.eye(3)])
+        with pytest.raises(IterationLimitError):
+            linear_fixed_point_rows(A, 1e-8)
+
+
+def _ref_linear_fixed_point(A):
+    """The per-map eigenvector and power polish the stacked kernel replaced,
+    with the number of rounds it polished."""
+    vals, vecs = np.linalg.eig(A)
+    v = np.abs(np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))]))
+    v = SimplexPoint(v / v.sum()).probs
+    for k in range(50):
+        w = np.clip(A @ v, 0.0, None)
+        w = w / w.sum()
+        if np.linalg.norm(w - v) < 1e-15:
+            break
+        v = w
+    return SimplexPoint(v).probs, k
 
 
 class TestParsing:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfscore.environment import affine_binary, linear
+from perfscore.environment import affine_binary, find_fixed_points, linear, random_linear
 from perfscore.errors import InvalidArgumentError
 from perfscore.harness import (
     CSV_COLUMNS,
@@ -28,8 +28,14 @@ from perfscore.scoring import (
     logarithmic_rule,
     quadratic_rule,
 )
-from perfscore.simplex import SimplexPoint, binary_point, l2_distance, uniform_point
-from perfscore.solvers import grid_optimum_binary
+from perfscore.simplex import (
+    SimplexPoint,
+    binary_point,
+    l2_distance,
+    tangent_operator_norm,
+    uniform_point,
+)
+from perfscore.solvers import grid_optimum_binary, performative_optimum
 
 Q2 = quadratic_rule(2)
 # the scalar float fields of an ExperimentRecord, all written to CSV
@@ -123,7 +129,7 @@ class TestManyOutcome:
     def test_constant_uniform_matrix_gives_honest_optimum(self):
         # every column uniform: f is constant at the barycenter, so the
         # optimum is the barycenter and inaccuracy vanishes
-        from perfscore.solvers import SolveConfig, performative_optimum
+        from perfscore.solvers import SolveConfig
 
         env = linear(np.full((5, 5), 0.2))
         res = performative_optimum(quadratic_rule(5), env, SolveConfig(seed=0))
@@ -148,13 +154,45 @@ class TestManyOutcome:
         for r in records:
             assert r.bound_pointwise == r.op_norm * r.dist_report_uniform
 
-    def test_worker_pool_invariance(self):
-        serial, _ = many_outcome_experiment(n=4, trials=12, seed=5, jobs=1)
-        parallel, _ = many_outcome_experiment(n=4, trials=12, seed=5, jobs=2)
-        for a, b in zip(serial, parallel):
-            assert a.env_descriptor == b.env_descriptor
-            assert a.inaccuracy == b.inaccuracy
-            assert a.report == b.report
+    def test_jobs_is_ignored(self):
+        a, _ = many_outcome_experiment(n=4, trials=12, seed=5, jobs=1)
+        b, _ = many_outcome_experiment(n=4, trials=12, seed=5, jobs=4)
+        for r in a + b:
+            r.runtime_ms = 0.0
+        assert a == b
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+    @pytest.mark.parametrize("seed", [1, 2305])
+    def test_batch_matches_single_map_calls(self, n, seed):
+        # each trial rebuilt from the public one-map calls, bit for bit
+        records, _ = many_outcome_experiment(n=n, trials=20, seed=seed)
+        rule = quadratic_rule(n)
+        u = uniform_point(n)
+        for i, r in enumerate(records):
+            env = random_linear(n, np.random.default_rng(np.random.SeedSequence([seed, i])))
+            fp = find_fixed_points(env).points[0]
+            op_norm = tangent_operator_norm(env.A)
+            p = performative_optimum(rule, env).report
+            want = ExperimentRecord(
+                env_descriptor=f"linear:seed={seed},trial={i},n={n}",
+                op_norm=op_norm,
+                inaccuracy=l2_distance(env.eval(p), p),
+                dist_to_fp=l2_distance(p, fp),
+                dist_fp_uniform=l2_distance(fp, u),
+                dist_report_uniform=l2_distance(p, u),
+                bound_Lf=op_norm * (rule.max_subgradient_norm() / rule.min_gamma()),
+                bound_pointwise=op_norm * (rule.subgradient_norm(p) / rule.gamma_at(p)),
+                runtime_ms=r.runtime_ms,
+                status="ok",
+                report=p.probs.tolist(),
+                fixed_point=fp.probs.tolist(),
+            )
+            assert r == want, i
+
+    def test_runtime_is_the_batch_time_shared_evenly(self):
+        records, _ = many_outcome_experiment(n=4, trials=6, seed=2)
+        assert len({r.runtime_ms for r in records}) == 1
+        assert records[0].runtime_ms > 0.0
 
     def test_summary_windows_are_populated(self):
         records, summary = many_outcome_experiment(n=5, trials=40, seed=7)

@@ -6,7 +6,8 @@ wall-clock time: only ``harness`` reads the clock, through
 ``time.perf_counter`` for the ``runtime_ms`` field, which the CLI zeroes
 unless ``--volatile-runtime`` is given.  Simplex faces are enumerated in
 one place: the package calls ``itertools.combinations`` once, in the
-support-enumeration kernel.
+support-enumeration kernel.  The many-outcome experiment is one array
+program in one process: ``harness`` starts no worker pool.
 """
 
 import ast
@@ -105,3 +106,27 @@ def test_scan_counts_combinations_calls():
         "c = combinations\n"
     )
     assert combinations_calls(source) == 2
+
+
+def imported_modules(source: str) -> set:
+    """The top-level name of every module the source imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_harness_starts_no_worker_pool():
+    source = (Path(perfscore.__file__).parent / "harness.py").read_text()
+    assert not imported_modules(source) & {"concurrent", "multiprocessing"}
+
+
+def test_scan_finds_pool_imports():
+    source = (
+        "from concurrent.futures import ProcessPoolExecutor\nimport multiprocessing.pool\n"
+        "from . import solvers\nimport numpy as np\n"
+    )
+    assert imported_modules(source) == {"concurrent", "multiprocessing", "numpy"}

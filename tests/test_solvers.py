@@ -377,6 +377,35 @@ class TestExactQuadraticLinearOracle:
         values = np.einsum("si,rij,sj->rs", samples, M, samples)
         assert np.all(got[:, None] >= values - 1e-12)
 
+    def test_singular_row_leaves_the_other_rows_bit_identical(self):
+        # an all-zero form makes every face of its row singular
+        rng = np.random.default_rng(17)
+        A = np.stack([sample_simplex_points(5, 5, rng).T for _ in range(64)])
+        M = A + A.transpose(0, 2, 1) - np.eye(5)
+        clean = _quadratic_simplex_rows(M)
+        M[21] = 0.0
+        got = _quadratic_simplex_rows(M)
+        others = np.arange(64) != 21
+        assert np.array_equal(got[others], clean[others])
+        # the zero form ties on every vertex: the smallest report wins
+        assert np.array_equal(got[21], [0.0, 0.0, 0.0, 0.0, 1.0])
+
+    def test_singular_fallback_splits_the_stack(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        K = rng.normal(size=(1024, 3, 3))
+        K[700] = 0.0
+        b = rng.normal(size=(1024, 3))
+        others = np.arange(1024) != 700
+        want = np.linalg.solve(K[others], b[others][..., None])[..., 0]
+        solve = np.linalg.solve
+        calls = []
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+        y = solvers._solve_or_nan(K, b)
+        assert np.isnan(y[700]).all()
+        assert np.array_equal(y[others], want)
+        # the whole stack, then both halves at each of the log2(1024) levels
+        assert len(calls) == 1 + 2 * 10
+
 
 def _ref_exact_optimum(A):
     """The scalar support enumeration the batched kernel replaced: one
