@@ -12,8 +12,6 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from . import harness
 from .bounds import (
     FIXED_POINT_DISTANCE,
@@ -159,8 +157,8 @@ def _run(args) -> int:
         rule = parse_rule(args.rule, 2)
         alphas = _parse_float_list(args.alphas)
         if cmd == "sweep-binary":
-            pstars = np.arange(0.0, 1.0 + 0.5 * args.pstar_step, args.pstar_step)
-            records = harness.binary_sweep(rule, alphas, pstars, args.resolution)
+            records = harness.binary_sweep(rule, alphas, harness.pstar_grid(args.pstar_step),
+                                           args.resolution)
             _freeze_runtime(records, args.volatile_runtime)
             _write(harness.emit(records, args.format), args.out)
         else:

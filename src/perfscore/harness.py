@@ -35,7 +35,13 @@ from .simplex import (
     uniform_point,
     vertex,
 )
-from .solvers import _binary_grid, _first_argmax, _quadratic_simplex_rows, performative_optimum
+from .solvers import (
+    OBJECTIVE_TIE_TOL,
+    _binary_grid,
+    _check_resolution,
+    _quadratic_simplex_rows,
+    performative_optimum,
+)
 
 STATUS_OK = "ok"
 
@@ -55,6 +61,14 @@ CSV_COLUMNS = (
 # distance-to-fixed-point entries are suppressed above this slope: the
 # fixed point becomes numerically unstable as the map approaches identity
 FP_DISTANCE_ALPHA_CAP = 0.95
+
+# the binary sweep's windows: each starts at 2 * _WINDOW_HALF + 1 grid
+# points around its candidate; a table value's rounding error stays below
+# 1e-15 of max|T0| + max|D| (measured at 1e-6 on the quadratic, log and
+# exponential rules, K up to 20), and _TABLE_ROUNDING of that magnitude
+# bounds twice the error with room to spare
+_WINDOW_HALF = 128
+_TABLE_ROUNDING = 1e-13
 
 
 @dataclass
@@ -130,30 +144,38 @@ def binary_sweep(
 ) -> list:
     """Optimal reports for affine binary maps across (slope, fixed point).
 
-    Each cell solves the brute-force grid oracle at ``resolution`` and
-    records inaccuracy, distance to the fixed point (slopes <= 0.95 only),
+    Each cell reports the grid oracle's answer at ``resolution``: the
+    first grid point within 1e-12 of the grid maximum, bit for bit as
+    ``grid_optimum_binary`` would find it on the cell's own map.  The
+    objective is evaluated only on windows of the grid around the cell's
+    candidates (the grid's ends and the stationary points of phi), which
+    grow while their edges are near the maximum.  Each cell records
+    inaccuracy, distance to the fixed point (slopes <= 0.95 only),
     distances to uniform, and both accuracy bounds.  The log rule
     additionally records the logit-scale inaccuracy.
     """
     if rule.n != 2:
         raise InvalidArgumentError("the binary sweep needs a binary rule")
+    _check_resolution(resolution)
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     pstar_grid = np.asarray(pstar_grid, dtype=float)
-    if np.any(alpha_grid < 0.0) or np.any(alpha_grid > 1.0):
+    if not np.all((alpha_grid >= 0.0) & (alpha_grid <= 1.0)):
         raise InvalidArgumentError("sweep slopes must lie in [0, 1]")
     xs = _binary_grid(rule, resolution)
+    lo, hi = float(xs[0]), float(xs[-1])
     # S is affine in the belief: phi(x) = T0(x) + f1(x) D(x) with
-    # f1(x) = alpha x + s (1 - alpha), so each slope needs one table and
-    # each fixed point one fused multiply-add per grid point
+    # f1(x) = alpha x + s (1 - alpha), so one pair of tables serves every
+    # cell
     T0 = rule.binary_objective_grid(xs, 0.0)
     D = rule.binary_objective_grid(xs, 1.0) - T0
+    slack = _TABLE_ROUNDING * max(1.0, float(np.abs(T0).max() + np.abs(D).max()))
     records = []
     for alpha in alpha_grid:
-        base = T0 + (alpha * xs) * D
         for s in pstar_grid:
             t0 = time.perf_counter()
-            idx = _first_argmax(base + (s * (1.0 - alpha)) * D)
-            x = float(xs[idx])
+            c = s * (1.0 - alpha)
+            cands = [lo, hi] + rule._critical_points(np.array([alpha, c]), lo, hi)
+            x = float(xs[_window_argmax(xs, T0, D, alpha, c, cands, slack)])
             fx = s + alpha * (x - s)
             inaccuracy = math.sqrt(2.0) * abs(fx - x)
             dist_fp = (
@@ -189,6 +211,48 @@ def binary_sweep(
     return records
 
 
+def _window_argmax(xs, T0, D, alpha, c, cands, slack) -> int:
+    """``_first_argmax`` of phi = (T0 + (alpha xs) D) + c D over the whole
+    grid, from windows around the candidates ``cands``.
+
+    phi is monotone between consecutive candidates, and each window holds
+    the grid points on both sides of its candidate.  So once every window
+    edge lies below top - OBJECTIVE_TIE_TOL - slack, where top is the
+    windows' maximum and ``slack`` bounds twice the rounding error of a
+    table value, no point outside the windows reaches top -
+    OBJECTIVE_TIE_TOL.  Windows with an edge above that line grow 4x.
+    Each value is computed by the full scan's expression on a slice, so
+    it is the full scan's value, bit for bit.
+    """
+    n = xs.size
+    centers = np.searchsorted(xs, cands)
+    spans = list(zip(np.maximum(centers - _WINDOW_HALF, 0).tolist(),
+                     np.minimum(centers + _WINDOW_HALF + 1, n).tolist()))
+    while True:
+        spans.sort()
+        merged = [list(spans[0])]
+        for b, e in spans[1:]:
+            if b <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], e)
+            else:
+                merged.append([b, e])
+        phis = [(T0[b:e] + (alpha * xs[b:e]) * D[b:e]) + c * D[b:e] for b, e in merged]
+        top = max(float(p.max()) for p in phis)
+        line = top - OBJECTIVE_TIE_TOL - slack
+        spans, grew = [], False
+        for (b, e), p in zip(merged, phis):
+            if (b > 0 and p[0] >= line) or (e < n and p[-1] >= line):
+                pad = 3 * (e - b) // 2
+                b, e, grew = max(b - pad, 0), min(e + pad, n), True
+            spans.append((b, e))
+        if not grew:
+            break
+    for (b, e), p in zip(merged, phis):
+        hits = np.flatnonzero(p >= top - OBJECTIVE_TIE_TOL)
+        if hits.size:
+            return b + int(hits[0])
+
+
 @dataclass
 class MaxCurveRow:
     alpha: float
@@ -196,6 +260,13 @@ class MaxCurveRow:
     max_dist_to_fp: float
     bound_inaccuracy: float
     bound_dist: float
+
+
+def pstar_grid(step: float) -> np.ndarray:
+    """The fixed-point grid 0, step, 2 step, ... through 1."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise InvalidArgumentError(f"fixed-point grid step must be finite and > 0, got {step}")
+    return np.arange(0.0, 1.0 + 0.5 * step, step)
 
 
 def max_curves(
@@ -208,20 +279,22 @@ def max_curves(
 
     For each slope, maximizes inaccuracy and distance-to-fixed-point over
     the fixed-point grid and pairs them with the global bounds (the
-    distance overlay diverges as the slope approaches 1).
+    distance overlay diverges as the slope approaches 1).  One sweep
+    covers every slope.
     """
     if pstar_step > 1e-3:
         raise InvalidArgumentError("fixed-point grid step must be <= 1e-3")
-    pstar_grid = np.arange(0.0, 1.0 + 0.5 * pstar_step, pstar_step)
+    pstars = pstar_grid(pstar_step)
+    alpha_grid = np.asarray(alpha_grid, dtype=float)
+    records = binary_sweep(rule, alpha_grid, pstars, resolution)
     rows = []
-    for alpha in np.asarray(alpha_grid, dtype=float):
-        records = binary_sweep(rule, [alpha], pstar_grid, resolution)
-        inacc = max(r.inaccuracy for r in records)
-        dists = [r.dist_to_fp for r in records if not math.isnan(r.dist_to_fp)]
+    for k, alpha in enumerate(alpha_grid):
+        cells = records[k * pstars.size:(k + 1) * pstars.size]
+        dists = [r.dist_to_fp for r in cells if not math.isnan(r.dist_to_fp)]
         rows.append(
             MaxCurveRow(
                 alpha=float(alpha),
-                max_inaccuracy=inacc,
+                max_inaccuracy=max(r.inaccuracy for r in cells),
                 max_dist_to_fp=max(dists) if dists else float("nan"),
                 bound_inaccuracy=rule.bound_rate * alpha,
                 bound_dist=rule.bound_rate * alpha / (1.0 - alpha)

@@ -80,6 +80,22 @@ class TestExitCodes:
                      "--policy", "teleport"]) == 2
         assert main(["unknown-subcommand"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep-binary", "--resolution", "0"],
+         ["max-curves", "--pstar-step", "0"],
+         ["max-curves", "--pstar-step", "-0.001"],
+         ["sweep-binary", "--pstar-step", "-1"],
+         ["sweep-binary", "--pstar-step", "nan"],
+         ["max-curves", "--resolution", "0.01"]],
+        ids=" ".join,
+    )
+    def test_bad_grid_arguments(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_domainish_argument_failure(self):
         assert main(["stake-profile", "--rule", "quadratic", "--lf", "1.0",
                      "--epsilon", "0.05", "--pl", "0.01", "--ph", "0.5"]) == 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perfscore.bounds import design_exponential_rule
 from perfscore.environment import affine_binary, find_fixed_points, linear, random_linear
 from perfscore.errors import InvalidArgumentError
 from perfscore.harness import (
@@ -18,6 +19,7 @@ from perfscore.harness import (
     emit,
     many_outcome_experiment,
     max_curves,
+    pstar_grid,
     ramp_distance_demo,
     records_to_csv,
     summarize_records,
@@ -35,7 +37,7 @@ from perfscore.simplex import (
     tangent_operator_norm,
     uniform_point,
 )
-from perfscore.solvers import grid_optimum_binary, performative_optimum
+from perfscore.solvers import _binary_grid, grid_optimum_binary, performative_optimum
 
 Q2 = quadratic_rule(2)
 # the scalar float fields of an ExperimentRecord, all written to CSV
@@ -102,6 +104,74 @@ class TestBinarySweep:
     def test_slope_validation(self):
         with pytest.raises(InvalidArgumentError):
             binary_sweep(Q2, [1.2], [0.5])
+        with pytest.raises(InvalidArgumentError):
+            binary_sweep(Q2, [float("nan")], [0.5])
+
+    @pytest.mark.parametrize("resolution", [0.0, -1e-6, 2e-3, float("nan")])
+    def test_resolution_validation(self, resolution):
+        with pytest.raises(InvalidArgumentError):
+            binary_sweep(Q2, [0.5], [0.5], resolution=resolution)
+
+
+def full_scan_reports(rule, alpha_grid, pstar_grid, resolution):
+    """The sweep's reports by scanning every grid point of every cell:
+    one table per slope, then the first point within 1e-12 of the cell's
+    maximum."""
+    xs = _binary_grid(rule, resolution)
+    T0 = rule.binary_objective_grid(xs, 0.0)
+    D = rule.binary_objective_grid(xs, 1.0) - T0
+    reports = []
+    for alpha in np.asarray(alpha_grid, dtype=float):
+        base = T0 + (alpha * xs) * D
+        for s in np.asarray(pstar_grid, dtype=float):
+            phi = base + (s * (1.0 - alpha)) * D
+            reports.append(float(xs[np.flatnonzero(phi >= phi.max() - 1e-12)[0]]))
+    return reports
+
+
+def sweep_reports(rule, alpha_grid, pstar_grid, resolution):
+    return [r.report[0] for r in binary_sweep(rule, alpha_grid, pstar_grid, resolution)]
+
+
+class TestSweepMatchesFullScan:
+    """binary_sweep evaluates phi on windows of the grid only; its reports
+    are the full scan's, bit for bit."""
+
+    def test_all_tie_cell(self):
+        # alpha = p* = 1/2: phi is 1/2 everywhere, so every grid point ties
+        args = (Q2, [0.5], [0.5], 1e-6)
+        assert sweep_reports(*args) == full_scan_reports(*args) == [0.0]
+
+    @pytest.mark.parametrize("alpha, s", [(0.4, 0.45), (0.5, 0.5)])
+    def test_log_flat_tops(self, alpha, s):
+        # the objective stays within 1e-12 of its maximum over many grid
+        # points, so the tie rule lands left of the maximizer
+        args = (logarithmic_rule(2), [alpha], [s], 1e-6)
+        assert sweep_reports(*args) == full_scan_reports(*args)
+
+    def test_log_symmetric_maxima_take_the_left_one(self):
+        args = (logarithmic_rule(2), [0.625095466604667], [0.5], 1e-4)
+        reports = sweep_reports(*args)
+        assert reports == full_scan_reports(*args)
+        assert reports[0] == pytest.approx(0.1371, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "rule", [Q2, logarithmic_rule(2), exponential_binary_rule(3.0)], ids=str
+    )
+    def test_unit_and_zero_slopes(self, rule):
+        args = (rule, [0.0, 1.0], np.linspace(0.0, 1.0, 11), 1e-5)
+        assert sweep_reports(*args) == full_scan_reports(*args)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [Q2, logarithmic_rule(2), exponential_binary_rule(3.0),
+         design_exponential_rule(1.0, 0.4)],
+        ids=str,
+    )
+    def test_random_cells(self, rule):
+        rng = np.random.default_rng(1806)
+        args = (rule, rng.uniform(0.0, 1.0, 20), rng.uniform(0.0, 1.0, 20), 1e-4)
+        assert sweep_reports(*args) == full_scan_reports(*args)
 
 
 class TestMaxCurves:
@@ -123,6 +193,22 @@ class TestMaxCurves:
         rows = max_curves(Q2, [0.0], pstar_step=1e-3, resolution=1e-4)
         assert rows[0].max_inaccuracy == pytest.approx(0.0, abs=2e-4)
         assert rows[0].bound_inaccuracy == 0.0
+
+    def test_rows_are_the_per_slope_maxima(self):
+        # one sweep over both slopes gives each slope's own maxima
+        lg = logarithmic_rule(2)
+        low, high = max_curves(lg, [0.3, 0.97], pstar_step=1e-3, resolution=1e-4)
+        records = binary_sweep(lg, [0.3], pstar_grid(1e-3), 1e-4)
+        assert low.max_inaccuracy == max(r.inaccuracy for r in records)
+        assert low.max_dist_to_fp == max(r.dist_to_fp for r in records)
+        records = binary_sweep(lg, [0.97], pstar_grid(1e-3), 1e-4)
+        assert high.max_inaccuracy == max(r.inaccuracy for r in records)
+        assert math.isnan(high.max_dist_to_fp)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, 2e-3, float("nan"), float("inf")])
+    def test_step_validation(self, step):
+        with pytest.raises(InvalidArgumentError):
+            max_curves(Q2, [0.5], pstar_step=step, resolution=1e-4)
 
 
 class TestManyOutcome:
