@@ -63,11 +63,14 @@ CSV_COLUMNS = (
 FP_DISTANCE_ALPHA_CAP = 0.95
 
 # the binary sweep's windows: each starts at 2 * _WINDOW_HALF + 1 grid
-# points around its candidate; a table value's rounding error stays below
-# 1e-15 of max|T0| + max|D| (measured at 1e-6 on the quadratic, log and
-# exponential rules, K up to 20), and _TABLE_ROUNDING of that magnitude
-# bounds twice the error with room to spare
+# points around its candidate, and one array pass serves up to
+# _CHUNK_CELLS cells.  The rounding error of a value of T0 or D at a grid
+# point stays below 1e-15 of max|T0| + max|D| over the grid (measured at
+# 1e-6 on the quadratic, log and exponential rules, K up to 20), and
+# _TABLE_ROUNDING of that magnitude bounds twice the error with room to
+# spare
 _WINDOW_HALF = 128
+_CHUNK_CELLS = 256
 _TABLE_ROUNDING = 1e-13
 
 
@@ -146,13 +149,16 @@ def binary_sweep(
 
     Each cell reports the grid oracle's answer at ``resolution``: the
     first grid point within 1e-12 of the grid maximum, bit for bit as
-    ``grid_optimum_binary`` would find it on the cell's own map.  The
-    objective is evaluated only on windows of the grid around the cell's
-    candidates (the grid's ends and the stationary points of phi), which
-    grow while their edges are near the maximum.  Each cell records
+    ``grid_optimum_binary`` would find it on the cell's own map.  No
+    table over the grid is built.  The objective is evaluated only on
+    windows of the grid around each cell's candidates (the grid's ends and
+    the stationary points of phi), for up to ``_CHUNK_CELLS`` cells in one
+    array pass, and a cell's windows grow 4x until one of two stop rules
+    settles its answer (see ``_cells_argmax``).  Each cell records
     inaccuracy, distance to the fixed point (slopes <= 0.95 only),
     distances to uniform, and both accuracy bounds.  The log rule
-    additionally records the logit-scale inaccuracy.
+    additionally records the logit-scale inaccuracy.  ``runtime_ms`` is
+    the sweep's wall time shared evenly over its cells.
     """
     if rule.n != 2:
         raise InvalidArgumentError("the binary sweep needs a binary rule")
@@ -161,21 +167,31 @@ def binary_sweep(
     pstar_grid = np.asarray(pstar_grid, dtype=float)
     if not np.all((alpha_grid >= 0.0) & (alpha_grid <= 1.0)):
         raise InvalidArgumentError("sweep slopes must lie in [0, 1]")
+    if not np.all((pstar_grid >= 0.0) & (pstar_grid <= 1.0)):
+        raise InvalidArgumentError("sweep fixed points must lie in [0, 1]")
+    t0 = time.perf_counter()
     xs = _binary_grid(rule, resolution)
     lo, hi = float(xs[0]), float(xs[-1])
-    # S is affine in the belief: phi(x) = T0(x) + f1(x) D(x) with
-    # f1(x) = alpha x + s (1 - alpha), so one pair of tables serves every
-    # cell
-    T0 = rule.binary_objective_grid(xs, 0.0)
-    D = rule.binary_objective_grid(xs, 1.0) - T0
-    slack = _TABLE_ROUNDING * max(1.0, float(np.abs(T0).max() + np.abs(D).max()))
+    slack = _rounding_slack(rule, xs)
+    # cell k's map is f1(x) = slopes[k] x + offsets[k], offset s (1 - alpha)
+    slopes = np.repeat(alpha_grid, pstar_grid.size)
+    offsets = np.tile(pstar_grid, alpha_grid.size) * (1.0 - slopes)
+    reports = np.empty(slopes.size)
+    for start in range(0, slopes.size, _CHUNK_CELLS):
+        chunk = slice(start, start + _CHUNK_CELLS)
+        cell, cands = [], []
+        for k, line in enumerate(zip(slopes[chunk], offsets[chunk])):
+            found = [lo, hi] + rule._critical_points(np.array(line), lo, hi)
+            cell += [k] * len(found)
+            cands += found
+        reports[chunk] = xs[_cells_argmax(rule, xs, slopes[chunk], offsets[chunk],
+                                          np.array(cell), np.array(cands), slack)]
+    runtime_ms = (time.perf_counter() - t0) * 1e3 / max(slopes.size, 1)
     records = []
+    cells = iter(reports.tolist())
     for alpha in alpha_grid:
         for s in pstar_grid:
-            t0 = time.perf_counter()
-            c = s * (1.0 - alpha)
-            cands = [lo, hi] + rule._critical_points(np.array([alpha, c]), lo, hi)
-            x = float(xs[_window_argmax(xs, T0, D, alpha, c, cands, slack)])
+            x = next(cells)
             fx = s + alpha * (x - s)
             inaccuracy = math.sqrt(2.0) * abs(fx - x)
             dist_fp = (
@@ -201,7 +217,7 @@ def binary_sweep(
                     dist_report_uniform=math.sqrt(2.0) * abs(x - 0.5),
                     bound_Lf=rule.bound_rate * alpha,
                     bound_pointwise=rule._bound_rate_at(x) * alpha,
-                    runtime_ms=(time.perf_counter() - t0) * 1e3,
+                    runtime_ms=runtime_ms,
                     status=STATUS_OK,
                     report=[x, 1.0 - x],
                     fixed_point=[s, 1.0 - s],
@@ -211,46 +227,89 @@ def binary_sweep(
     return records
 
 
-def _window_argmax(xs, T0, D, alpha, c, cands, slack) -> int:
-    """``_first_argmax`` of phi = (T0 + (alpha xs) D) + c D over the whole
-    grid, from windows around the candidates ``cands``.
+def _rounding_slack(rule, xs) -> float:
+    """_TABLE_ROUNDING of max|T0| + max|D| over the grid ``xs``, at least
+    _TABLE_ROUNDING.  S is affine in the belief, phi(x) = T0(x) + f1(x)
+    D(x); T0 and D are monotone on [0, 1] for every rule family, so their
+    largest magnitudes over the grid sit at its ends."""
+    T0 = rule.binary_objective_grid(xs[[0, -1]], 0.0)
+    D = rule.binary_objective_grid(xs[[0, -1]], 1.0) - T0
+    return _TABLE_ROUNDING * max(1.0, float(np.abs(T0).max() + np.abs(D).max()))
+
+
+def _cells_argmax(rule, xs, alpha, c, cell, cands, slack) -> np.ndarray:
+    """Per cell k, ``_first_argmax`` of phi = (T0 + (alpha[k] xs) D) +
+    c[k] D over the whole grid ``xs``, from windows around the cell's
+    candidates ``cands[cell == k]``; returns grid indices.
 
     phi is monotone between consecutive candidates, and each window holds
-    the grid points on both sides of its candidate.  So once every window
-    edge lies below top - OBJECTIVE_TIE_TOL - slack, where top is the
-    windows' maximum and ``slack`` bounds twice the rounding error of a
-    table value, no point outside the windows reaches top -
-    OBJECTIVE_TIE_TOL.  Windows with an edge above that line grow 4x.
-    Each value is computed by the full scan's expression on a slice, so
-    it is the full scan's value, bit for bit.
+    the grid points on both sides of its candidate, so each value outside
+    the windows is at most its larger bordering window edge plus
+    ``slack``, which bounds twice the rounding error of a value of T0 or
+    D.  Let top be a cell's maximum over its windows, line = top -
+    OBJECTIVE_TIE_TOL - slack, and h its first window point at or above
+    top - OBJECTIVE_TIE_TOL.  The grid's answer is h once either
+      - every window edge that borders an unevaluated gap is below line:
+        nothing outside the windows reaches top - OBJECTIVE_TIE_TOL; or
+      - phi(h) >= top + slack - OBJECTIVE_TIE_TOL and every such edge
+        before h is below line: the grid maximum is at most top + slack,
+        so h ties with it and nothing before h does.
+    Otherwise the windows with an edge at or above line grow 4x.  Each
+    value is computed by the full scan's expression on the gathered grid
+    points, so it is the full scan's value, bit for bit.
     """
     n = xs.size
     centers = np.searchsorted(xs, cands)
-    spans = list(zip(np.maximum(centers - _WINDOW_HALF, 0).tolist(),
-                     np.minimum(centers + _WINDOW_HALF + 1, n).tolist()))
-    while True:
-        spans.sort()
-        merged = [list(spans[0])]
-        for b, e in spans[1:]:
-            if b <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], e)
-            else:
-                merged.append([b, e])
-        phis = [(T0[b:e] + (alpha * xs[b:e]) * D[b:e]) + c * D[b:e] for b, e in merged]
-        top = max(float(p.max()) for p in phis)
-        line = top - OBJECTIVE_TIE_TOL - slack
-        spans, grew = [], False
-        for (b, e), p in zip(merged, phis):
-            if (b > 0 and p[0] >= line) or (e < n and p[-1] >= line):
-                pad = 3 * (e - b) // 2
-                b, e, grew = max(b - pad, 0), min(e + pad, n), True
-            spans.append((b, e))
-        if not grew:
-            break
-    for (b, e), p in zip(merged, phis):
-        hits = np.flatnonzero(p >= top - OBJECTIVE_TIE_TOL)
-        if hits.size:
-            return b + int(hits[0])
+    b = np.maximum(centers - _WINDOW_HALF, 0)
+    e = np.minimum(centers + _WINDOW_HALF + 1, n)
+    out = np.empty(alpha.size, dtype=np.intp)
+    while cell.size:
+        # merge each cell's overlapping or touching windows, in grid order;
+        # reach is the furthest end so far within the cell
+        order = np.lexsort((b, cell))
+        cell, b, e = cell[order], b[order], e[order]
+        base = cell * (n + 1)
+        reach = np.maximum.accumulate(base + e) - base
+        opens = np.ones(cell.size, dtype=bool)
+        opens[1:] = (cell[1:] != cell[:-1]) | (b[1:] > reach[:-1])
+        w = np.flatnonzero(opens)
+        cell, b, e = cell[w], b[w], reach[np.append(w[1:], cell.size) - 1]
+        # phi at every window point, windows laid end to end
+        size = e - b
+        first = np.cumsum(size) - size
+        idx = np.arange(first[-1] + size[-1]) + np.repeat(b - first, size)
+        x = xs[idx]
+        T0 = rule.binary_objective_grid(x, 0.0)
+        D = rule.binary_objective_grid(x, 1.0) - T0
+        at = np.repeat(cell, size)
+        phi = (T0 + (alpha[at] * x) * D) + c[at] * D
+        # per cell still open: top, its first point h at or above top -
+        # OBJECTIVE_TIE_TOL, and the window hw that holds h; heads are the
+        # cells' first windows and rank maps each window to its cell
+        opens = np.r_[True, cell[1:] != cell[:-1]]
+        heads = np.flatnonzero(opens)
+        rank = np.cumsum(opens) - 1
+        top = np.maximum.reduceat(phi, first[heads])
+        hits = np.flatnonzero(phi >= top[np.repeat(rank, size)] - OBJECTIVE_TIE_TOL)
+        h = hits[np.r_[True, at[hits[1:]] != at[hits[:-1]]]]
+        hw = np.searchsorted(first, h, "right")[rank] - 1
+        # window edges that border an unevaluated gap and reach the line;
+        # the two stop rules of the docstring
+        line = (top - OBJECTIVE_TIE_TOL - slack)[rank]
+        hot_b = (b > 0) & (phi[first] >= line)
+        hot_e = (e < n) & (phi[first + size - 1] >= line)
+        grow = hot_b | hot_e
+        w = np.arange(cell.size)
+        before_h = (hot_b & (w <= hw)) | (hot_e & (w < hw))
+        done = ~np.logical_or.reduceat(before_h, heads) & (
+            ~np.logical_or.reduceat(grow, heads)
+            | (phi[h] >= top + slack - OBJECTIVE_TIE_TOL)
+        )
+        out[cell[heads[done]]] = idx[h[done]]
+        keep = ~done[rank]
+        pad = np.where(grow, 3 * size // 2, 0)[keep]
+        cell, b, e = cell[keep], np.maximum(b[keep] - pad, 0), np.minimum(e[keep] + pad, n)
+    return out
 
 
 @dataclass

@@ -392,9 +392,14 @@ def _horner(P, x):
 
 def _real_roots(C, a, z) -> list:
     """Real roots of the polynomial C inside (a, z); a root pair split off
-    the real line by rounding counts as one real root."""
-    r = np.roots(C)
-    r = r.real[np.abs(r.imag) <= 1e-6]
+    the real line by rounding counts as one real root.  A line's root is
+    -C1/C0 in closed form, with the bits ``np.roots`` gives; subtracting
+    from 0.0 keeps a zero root unsigned, as ``np.roots`` does."""
+    if len(C) == 2 and C[0] != 0.0:
+        r = [0.0 - float(C[1]) / float(C[0])]
+    else:
+        r = np.roots(C)
+        r = r.real[np.abs(r.imag) <= 1e-6].tolist()
     return [float(x) for x in r if a < x < z]
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from perfscore.harness import (
     records_to_csv,
     summarize_records,
     to_json,
+    _TABLE_ROUNDING,
+    _cells_argmax,
+    _rounding_slack,
 )
 from perfscore.scoring import (
     exponential_binary_rule,
@@ -112,6 +116,28 @@ class TestBinarySweep:
         with pytest.raises(InvalidArgumentError):
             binary_sweep(Q2, [0.5], [0.5], resolution=resolution)
 
+    @pytest.mark.parametrize("s", [1.5, -0.2, float("nan"), float("inf")])
+    def test_fixed_point_validation(self, s):
+        with pytest.raises(InvalidArgumentError):
+            binary_sweep(Q2, [0.5], [0.2, s])
+
+    def test_runtime_is_shared_evenly(self):
+        t0 = time.perf_counter()
+        records = binary_sweep(Q2, [0.2, 0.7], np.linspace(0.0, 1.0, 11), 1e-5)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        assert len({r.runtime_ms for r in records}) == 1
+        assert 0.0 < records[0].runtime_ms * len(records) <= wall_ms
+
+    @pytest.mark.parametrize(
+        "rule", [Q2, logarithmic_rule(2), exponential_binary_rule(3.0)], ids=str
+    )
+    def test_chunked_cells_match_cells_alone(self, rule):
+        # 3 x 101 cells span two chunks; no cell's windows touch another's
+        alphas, pstars = [0.3, 0.5, 0.9], np.linspace(0.0, 1.0, 101)
+        together = sweep_reports(rule, alphas, pstars, 1e-4)
+        alone = [sweep_reports(rule, [a], [s], 1e-4)[0] for a in alphas for s in pstars]
+        assert together == alone
+
 
 def full_scan_reports(rule, alpha_grid, pstar_grid, resolution):
     """The sweep's reports by scanning every grid point of every cell:
@@ -172,6 +198,62 @@ class TestSweepMatchesFullScan:
         rng = np.random.default_rng(1806)
         args = (rule, rng.uniform(0.0, 1.0, 20), rng.uniform(0.0, 1.0, 20), 1e-4)
         assert sweep_reports(*args) == full_scan_reports(*args)
+
+
+class TestSweepEffort:
+    def test_all_tie_cell_stops_at_its_first_windows(self, monkeypatch):
+        # alpha = p* = 1/2: every grid point ties, so the first point is
+        # the answer as soon as the windows' maximum is known
+        rule = quadratic_rule(2)
+        sizes = []
+        objective = rule.binary_objective_grid
+
+        def counted(x, fx):
+            sizes.append(np.size(x))
+            return objective(x, fx)
+
+        monkeypatch.setattr(rule, "binary_objective_grid", counted)
+        assert sweep_reports(rule, [0.5], [0.5], 1e-6) == [0.0]
+        assert sum(sizes) < 10_000
+        assert max(sizes) < _binary_grid(rule, 1e-6).size
+
+    def test_flat_top_before_the_first_tie_keeps_growing(self):
+        # alpha just below 1/2: phi stays within 1e-12 of its maximum for
+        # about 15 800 grid points left of the stationary point, so the
+        # first tie lies in a gap before the window's first tie
+        args = (Q2, [0.5 - 1e-9], [0.5], 1e-6)
+        reports = sweep_reports(*args)
+        assert reports == full_scan_reports(*args)
+        assert reports[0] < 0.4842
+
+    def test_first_tie_must_tie_with_the_gaps(self):
+        # D = 0 and phi = T0 rises to 1 at the candidate 1/2, stays there,
+        # and bumps by slack / 2 in a gap (as rounding may): the windows'
+        # first tie 1/2 is not the grid's, which is the bump's first point
+        class Plateau:
+            def binary_objective_grid(self, x, fx):
+                bump = (x >= 0.6) & (x <= 0.7)
+                return np.where(x <= 0.5, 0.5 + x, np.where(bump, 1.0 + 5e-10, 1.0))
+
+        xs = np.linspace(0.0, 1.0, 10_001)
+        found = _cells_argmax(Plateau(), xs, np.zeros(1), np.zeros(1),
+                              np.zeros(3, dtype=int), np.array([0.0, 0.5, 1.0]), 1e-9)
+        assert found.tolist() == [6000]
+
+    @pytest.mark.parametrize(
+        "rule",
+        [Q2, logarithmic_rule(2)]
+        + [exponential_binary_rule(K) for K in (0.5, 3.0, 7.07, 20.0)]
+        + [design_exponential_rule(1.0, eps) for eps in (0.2, 0.4)],
+        ids=str,
+    )
+    def test_slack_from_the_ends_is_the_full_grid_slack(self, rule):
+        for resolution in (1e-4, 1e-5, 1e-6):
+            xs = _binary_grid(rule, resolution)
+            T0 = rule.binary_objective_grid(xs, 0.0)
+            D = rule.binary_objective_grid(xs, 1.0) - T0
+            full = _TABLE_ROUNDING * max(1.0, float(np.abs(T0).max() + np.abs(D).max()))
+            assert _rounding_slack(rule, xs) == full
 
 
 class TestMaxCurves:

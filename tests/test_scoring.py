@@ -13,6 +13,7 @@ from perfscore.scoring import (
     logarithmic_rule,
     parse_rule,
     quadratic_rule,
+    _real_roots,
 )
 from perfscore.simplex import (
     SimplexPoint,
@@ -300,6 +301,37 @@ class TestVectorizedPaths:
             assert rule.expected_score(binary_point(x), binary_point(fx)) == pytest.approx(
                 ref, abs=1e-12
             )
+
+
+def np_roots_in(C, a, z):
+    """The reference: the real roots of C inside (a, z) from np.roots."""
+    r = np.roots(C)
+    r = r.real[np.abs(r.imag) <= 1e-6]
+    return [float(x) for x in r if a < x < z]
+
+
+class TestRealRoots:
+    """A line's root is -C1/C0 in closed form; it must be np.roots' root,
+    bit for bit."""
+
+    def test_lines_match_np_roots(self):
+        rng = np.random.default_rng(1919)
+        lines = rng.choice([-1.0, 1.0], (2000, 2)) * 10.0 ** rng.uniform(-5.0, 5.0, (2000, 2))
+        for C in lines:
+            for a, z in ((-math.inf, math.inf), (0.0, 1.0)):
+                got, ref = _real_roots(C, a, z), np_roots_in(C, a, z)
+                assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+    @pytest.mark.parametrize(
+        "C, roots",
+        [([3.0, 0.0], [0.0]), ([-2.5, -0.0], [0.0]), ([0.0, 2.0], []), ([0.0, 0.0], [])],
+    )
+    def test_zero_coefficients(self, C, roots):
+        # a zero constant term gives an unsigned zero root; a zero leading
+        # coefficient leaves no line and no root
+        got = _real_roots(np.array(C), -1.0, 1.0)
+        assert np.array(got).tobytes() == np.array(roots).tobytes()
+        assert np.array(got).tobytes() == np.array(np_roots_in(C, -1.0, 1.0)).tobytes()
 
 
 FAMILIES = [
