@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .environment import (
     EnvironmentMap,
-    FixedPointConfig,
     FixedPointSet,
     affine_binary,
     bank_run,

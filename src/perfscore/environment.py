@@ -22,8 +22,8 @@ constructors:
 * bank_run()       the cubic f1(p1) = p1 - 3 (p1 - 1/10)(p1 - 3/5)(p1 - 9/10) / 2
   with three fixed points at p1 = 0.1, 0.6, 0.9.
 
-Fixed points: binary maps by a sign-scan of f1(x) - x, maps with n > 2
-(all linear) by the eigenproblem.
+Fixed points: binary maps by the exact roots of f1(x) - x on each
+polynomial piece of f1, maps with n > 2 (all linear) by the eigenproblem.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgumentError, IterationLimitError
+from .scoring import _X, _real_roots
 from .simplex import (
     SimplexPoint,
     binary_point,
@@ -44,6 +45,8 @@ from .simplex import (
 )
 
 _BOUNDARY_SLACK = 1e-12
+# the largest ||f(p) - p|| a reported fixed point may keep
+_RESIDUAL_TOL = 1e-8
 
 
 class EnvironmentMap:
@@ -106,8 +109,8 @@ class EnvironmentMap:
     def lipschitz_estimate(self) -> float:
         """sup_p ||Df(p)||_op on the tangent space.
 
-        Exact for linear and piecewise-linear maps; the bank-run cubic is
-        scanned on a fine grid.
+        Exact for every family: for the bank-run cubic it is |f1'| at the
+        vertex 8/15 of its parabola f1', 1.245.
         """
         return self._lipschitz
 
@@ -216,7 +219,9 @@ class BankRunMap(EnvironmentMap):
     _CUBIC = np.polyadd(-1.5 * np.poly([0.1, 0.6, 0.9]), [1.0, 0.0])
 
     def __init__(self):
-        xs = np.linspace(0.0, 1.0, 10001)
+        # f1' is a downward parabola: |f1'| peaks at an end or at its
+        # vertex 8/15, where f1' = 1.245
+        xs = np.array([0.0, 8.0 / 15.0, 1.0])
         super().__init__(2, "bankrun", np.max(np.abs(self._slope1(xs))))
 
     def _f1(self, x):
@@ -388,9 +393,11 @@ def parse_environment(spec: str, rng_seed: int = 0) -> EnvironmentMap:
 class FixedPointSet:
     """Fixed points of a map, with the method that found them.
 
+    ``method`` is "piece-roots" for a binary map (the roots of f1(x) - x
+    on each polynomial piece of f1) and "eigen" for n > 2.
     ``unique_guaranteed`` is True when a contraction argument certifies
-    uniqueness; the identity map sets it to False and reports the query
-    point only.
+    uniqueness; a map that is the identity on all of [0, 1] sets it to
+    False and reports the uniform point only.
     """
 
     points: list
@@ -401,59 +408,52 @@ class FixedPointSet:
         return [float(p[0]) for p in self.points]
 
 
-@dataclass
-class FixedPointConfig:
-    tol: float = 1e-12
-    scan_step: float = 1e-4
-    residual_tol: float = 1e-8
-
-
-def _bisect_fixed_point(f: EnvironmentMap, lo: float, hi: float, tol: float) -> float:
-    glo = float(f.eval1(np.asarray(lo))) - lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = float(f.eval1(np.asarray(mid))) - mid
-        if hi - lo <= tol:
-            break
-        if (glo <= 0.0) == (gm <= 0.0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def find_fixed_points(f: EnvironmentMap, cfg: FixedPointConfig = None) -> FixedPointSet:
+def find_fixed_points(f: EnvironmentMap) -> FixedPointSet:
     """Locate fixed points of f.
 
-    Binary maps are scanned for sign changes of f1(x) - x and each bracket
-    refined by bisection, which catches multiple fixed points.  Maps with
-    n > 2 are linear and use the eigenvector for eigenvalue 1 (which
-    exists because columns sum to one), unique when L_f < 1 by the
+    Binary maps solve f1(x) - x = 0 on each piece of ``f._pieces(0, 1)``:
+    a cut point whose residual is exactly 0, the closed-form root of a
+    line piece whose end residuals change sign, and the real roots of the
+    bank-run cubic.  A piece with |f1(x) - x| < 1e-12 at both ends is
+    fixed throughout and reports its two ends; when every piece is, the
+    uniform point stands for them.  Maps with n > 2 are linear and use the
+    eigenvector for eigenvalue 1 (which exists because columns sum to
+    one).  Either way the fixed point is unique when L_f < 1 by the
     contraction principle.
     """
-    cfg = cfg or FixedPointConfig()
-
     if f.n == 2:
-        xs = np.arange(0.0, 1.0 + 0.5 * cfg.scan_step, cfg.scan_step)
-        resid = f.eval1(xs) - xs
-        if np.max(np.abs(resid)) < 1e-12:
-            # identity-like map: every point is fixed
-            return FixedPointSet([uniform_point(2)], "sign-scan", unique_guaranteed=False)
-        roots = list(xs[resid == 0.0])
-        for i in np.flatnonzero(resid[:-1] * resid[1:] < 0.0):
-            roots.append(_bisect_fixed_point(f, xs[i], xs[i + 1], cfg.tol))
-        deduped = []
-        for r in sorted(roots):
-            if not deduped or r - deduped[-1] > 1e-9:
-                deduped.append(r)
-        points = [binary_point(r) for r in deduped]
-        P = np.array([p.probs for p in points])
-        _verified(P, f._rows(P), cfg.residual_tol)
-        unique = len(points) == 1 and f.lipschitz_estimate() < 1.0
-        return FixedPointSet(points, "sign-scan", unique_guaranteed=unique)
-
-    p = SimplexPoint(linear_fixed_point_rows(f.A[None], cfg.residual_tol)[0], renormalize=False)
+        return _binary_fixed_points(f)
+    p = SimplexPoint(linear_fixed_point_rows(f.A[None])[0], renormalize=False)
     return FixedPointSet([p], "eigen", unique_guaranteed=f.lipschitz_estimate() < 1.0)
+
+
+def _binary_fixed_points(f: EnvironmentMap) -> FixedPointSet:
+    pieces = f._pieces(0.0, 1.0)
+    cuts = np.array([a for a, _, _ in pieces] + [1.0])
+    # one evaluation at every cut: pieces that meet at a knot see the same
+    # residual there, so a root on a knot is found once, as an exact zero
+    resid = f.eval1(cuts) - cuts
+    small = np.abs(resid) < 1e-12
+    if small.all():
+        return FixedPointSet([uniform_point(2)], "piece-roots", unique_guaranteed=False)
+    roots = cuts[resid == 0.0].tolist()
+    for (a, z, P), ga, gz, fixed in zip(pieces, resid[:-1], resid[1:], small[:-1] & small[1:]):
+        C = np.polysub(P, _X)
+        if len(C) > 2:
+            roots += _real_roots(C, a, z)
+        elif fixed:
+            roots += [a, z]
+        elif ga * gz < 0.0:
+            roots.append(min(max(-C[1] / C[0], a), z))
+    deduped = []
+    for r in sorted(roots):
+        if not deduped or r - deduped[-1] > 1e-9:
+            deduped.append(r)
+    points = [binary_point(r) for r in deduped]
+    P = np.array([p.probs for p in points])
+    _verified(P, f._rows(P))
+    unique = len(points) == 1 and f.lipschitz_estimate() < 1.0
+    return FixedPointSet(points, "piece-roots", unique_guaranteed=unique)
 
 
 def linear_map_rows(A: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -461,16 +461,16 @@ def linear_map_rows(A: np.ndarray, P: np.ndarray) -> np.ndarray:
     return (P[:, None, :] @ np.swapaxes(A, 1, 2))[:, 0]
 
 
-def linear_fixed_point_rows(A: np.ndarray, residual_tol=FixedPointConfig.residual_tol):
+def linear_fixed_point_rows(A: np.ndarray):
     """Fixed points of an (R, n, n) column-stochastic stack (A not validated),
     as (R, n) rows of SimplexPoint probs: one stacked eig for the eigenvector
     of the eigenvalue nearest 1, then up to 50 power-iteration rounds, a row
     keeping its last iterate from the first round that would move it less
-    than 1e-15.  A residual above ``residual_tol`` raises.
+    than 1e-15.  A residual above ``_RESIDUAL_TOL`` raises.
     """
     R = A.shape[0]
     vals, vecs = np.linalg.eig(A)
-    V = np.abs(np.real(vecs[np.arange(R), :, np.argmin(np.abs(vals - 1.0), axis=1)]))
+    V = np.abs(np.real(vecs[range(R), :, np.argmin(np.abs(vals - 1.0), axis=1)]))
     # normalized twice, as SimplexPoint(v / v.sum()) does
     V = V / V.sum(axis=1, keepdims=True)
     V = V / V.sum(axis=1, keepdims=True)
@@ -484,14 +484,15 @@ def linear_fixed_point_rows(A: np.ndarray, residual_tol=FixedPointConfig.residua
         V = np.where(moving[:, None], W, V)
     # finite nonnegative rows summing to 1: SimplexPoint(v) only renormalizes
     P = V / V.sum(axis=1, keepdims=True)
-    return _verified(P, linear_map_rows(A, P), residual_tol)
+    return _verified(P, linear_map_rows(A, P))
 
 
-def _verified(P: np.ndarray, F: np.ndarray, residual_tol: float) -> np.ndarray:
-    """Fixed points P with images F; IterationLimitError if ||F_r - P_r|| > tol."""
+def _verified(P: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Fixed points P with images F; IterationLimitError if some
+    ||F_r - P_r|| > ``_RESIDUAL_TOL``."""
     residual = norm_rows(F - P)
-    if residual.max() > residual_tol:
-        k = int(np.argmax(residual > residual_tol))
+    if residual.max() > _RESIDUAL_TOL:
+        k = int(np.argmax(residual > _RESIDUAL_TOL))
         p = SimplexPoint(P[k], renormalize=False)
         raise IterationLimitError(f"candidate fixed point {p!r} has residual {residual[k]}", best=p)
     return P

@@ -7,7 +7,7 @@ the two-player oracle game.  This module also implements the weighted
 market game (N traders scored against outcomes drawn from f of the
 weighted average prediction) with its per-trader accuracy bound, and the
 regret accounting that links no-regret learning to vanishing prediction
-error.  A synchronous round, and the closing best-response-gap pass, solve
+error.  Each market round, and the closing best-response-gap pass, solve
 all N traders' best responses as the rows of one array, each row with the
 others' weighted reports held fixed.  Under the quadratic rule and a
 linear map a trader's score, linear term folded in, is one quadratic form
@@ -35,6 +35,7 @@ from .solvers import (
     OnlineTrace,
     SolveConfig,
     _ascend_rows,
+    _best_index,
     _quadratic_linear,
     _quadratic_simplex_rows,
     _RowProblem,
@@ -106,13 +107,19 @@ def is_oracle_game_equilibrium(
 def rank_fixed_points(rule: ScoringRule, fps: FixedPointSet) -> list:
     """Fixed points ordered by honest expected score S(p, p) = G(p), descending.
 
-    Ties resolve to the lexicographically smaller probability vector.  The
-    top of this ranking is what a score-maximizing expert would steer
-    toward; interior (convex-combination) fixed points can never win.
+    Each place goes to the remaining point the solvers' one tie rule picks:
+    scores within ``OBJECTIVE_TIE_TOL`` tie, and a tie resolves to the
+    lexicographically smaller probability vector.  The top of this ranking
+    is what a score-maximizing expert would steer toward; interior
+    (convex-combination) fixed points can never win.
     """
     scored = [(p, rule.potential(p)) for p in fps.points]
-    scored.sort(key=lambda item: (-item[1], tuple(item[0].probs)))
-    return scored
+    ranked = []
+    while scored:
+        X = np.array([p.probs for p, _ in scored])
+        k = int(_best_index(X, np.array([s for _, s in scored])))
+        ranked.append(scored.pop(k))
+    return ranked
 
 
 # -- prediction markets ---------------------------------------------------------
@@ -173,43 +180,30 @@ def market_equilibrium(
     max_rounds: int = 500,
     tol: float = 1e-10,
     inner_iters: int = 200,
-    mode: str = "synchronous",
 ) -> MarketEquilibrium:
     """Iterated best response to a pure-strategy market equilibrium.
 
     Every round each trader solves their own performative subproblem (their
     report enters f with their weight): exactly for the quadratic rule
     under a linear map, else by projected gradient ascent of at most
-    ``inner_iters`` steps.  ``synchronous`` updates all traders at once,
-    ``round-robin`` one at a time.  Stops when no trader moved more than
-    ``tol``; pure equilibria are not guaranteed to exist, and no
+    ``inner_iters`` steps.  All traders update at once, each against the
+    others' reports of the previous round.  Stops when no trader moved more
+    than ``tol``; pure equilibria are not guaranteed to exist, and no
     convergence within ``max_rounds`` rounds (the only limit: there is no
     wall-clock budget) raises ``IterationLimitError`` carrying the last
     profile.  ``per_player_br_gap`` is each trader's score gain from
     switching to its best response, exact where the best response is.
     """
-    if mode not in ("synchronous", "round-robin"):
-        raise InvalidArgumentError(f"unknown update mode {mode!r}")
     N = game.n_players
     n = game.f.n
     w = np.asarray(game.weights)
     profile = np.tile(uniform_point(n).probs, (N, 1))
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        moved = 0.0
-        if mode == "synchronous":
-            rest = (w[:, None] * profile).sum(axis=0) - w[:, None] * profile
-            updates = _best_responses(game, profile, rest, w, inner_iters, tol)
-            moved = float(np.max(np.linalg.norm(updates - profile, axis=1)))
-            profile = updates
-        else:
-            for i in range(N):
-                rest = (w[:, None] * profile).sum(axis=0) - w[i] * profile[i]
-                new = _best_responses(
-                    game, profile[i:i + 1], rest[None, :], w[i:i + 1], inner_iters, tol
-                )[0]
-                moved = max(moved, float(np.linalg.norm(new - profile[i])))
-                profile[i] = new
+        rest = (w[:, None] * profile).sum(axis=0) - w[:, None] * profile
+        updates = _best_responses(game, profile, rest, w, inner_iters, tol)
+        moved = float(np.max(np.linalg.norm(updates - profile, axis=1)))
+        profile = updates
         if moved <= tol:
             break
     else:

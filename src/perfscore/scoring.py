@@ -58,8 +58,8 @@ from .simplex import (
 # Exponent guard: e^K must stay a normal double across the unit interval.
 MAX_EXPONENT = 700.0
 MIN_EXPONENT = 1e-6
-# the sign-scan step of environment.find_fixed_points, reused to bracket
-# the log rule's stationary points under a curved map
+# the log rule's h(x) = x (1 - x) phi'(x) carries a logit term, so on a
+# curved f1 its roots have no closed form: they are bracketed on this grid
 _SCAN_STEP = 1e-4
 _ROOT_XTOL = 1e-15
 _X = np.array([1.0, 0.0])  # the polynomial x

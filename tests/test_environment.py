@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from perfscore.environment import (
-    FixedPointConfig,
     affine_binary,
     bank_run,
     find_fixed_points,
@@ -26,6 +25,7 @@ from perfscore.simplex import (
 )
 
 ALL_KINDS = "affine bank_run linear shrink ramp ramp_open tabulated".split()
+SEEDED_FAMILIES = ("affine", "bank_run", "ramp", "shrink", "linear2", "tabulated")
 
 
 def make_env(kind, n=2, seed=0):
@@ -164,11 +164,11 @@ class TestLipschitz:
 
     def test_bank_run_grid_scan(self):
         est = bank_run().lipschitz_estimate()
-        # max of |f1'| over [0, 1]: the parabola peak at x = 8/15
+        # max of |f1'| over [0, 1]: the parabola peak f1'(8/15) = 1.245
+        assert est == pytest.approx(1.245, abs=1e-15)
         xs = np.linspace(0.0, 1.0, 200_001)
         oracle = np.max(np.abs(-4.5 * xs * xs + 4.8 * xs - 0.035))
-        assert est == pytest.approx(oracle, abs=1e-6)
-        assert est > 1.0
+        assert oracle <= est < oracle + 1e-9
 
     def test_ramp(self):
         assert ramp_binary(0.1, 0.01).lipschitz_estimate() == pytest.approx(0.99)
@@ -182,8 +182,8 @@ class TestLipschitz:
 class TestFixedPoints:
     def test_bank_run_three_roots(self):
         fps = find_fixed_points(bank_run())
-        assert fps.method == "sign-scan"
-        assert fps.coordinates() == pytest.approx([0.1, 0.6, 0.9], abs=1e-8)
+        assert fps.method == "piece-roots"
+        assert fps.coordinates() == pytest.approx([0.1, 0.6, 0.9], abs=1e-12)
         assert not fps.unique_guaranteed
 
     def test_residuals_verified_independently(self):
@@ -220,7 +220,7 @@ class TestFixedPoints:
 
     def test_shrink_banach(self):
         env = shrink_to(SimplexPoint([0.5, 0.2, 0.3]), 0.6)
-        fps = find_fixed_points(env, FixedPointConfig(tol=1e-13))
+        fps = find_fixed_points(env)
         assert fps.method == "eigen"
         assert fps.unique_guaranteed
         assert fps.points[0].probs == pytest.approx([0.5, 0.2, 0.3], abs=1e-9)
@@ -228,26 +228,47 @@ class TestFixedPoints:
     @pytest.mark.parametrize("env", [
         bank_run(),
         tabulated(np.linspace(0.0, 1.0, 5), [0.3, 0.8, 0.15, 0.6, 0.9]),
-        # f1(x) = x exactly on [0, 0.3]: zero residuals on the grid
-        tabulated([0.0, 0.3, 1.0], [0.0, 0.3, 0.5]),
         random_linear(2, np.random.default_rng(5)),
-    ], ids=["bank_run", "tabulated", "partial_identity", "linear2"])
+    ], ids=["bank_run", "tabulated", "linear2"])
     def test_sign_scan_matches_loop_reference(self, env):
-        # the bracket search as a per-interval loop over the scan grid
-        xs = np.arange(0.0, 1.0 + 0.5e-4, 1e-4)
-        resid = env.eval1(xs) - xs
-        brackets = []
-        for i in range(xs.size - 1):
-            if resid[i] == 0.0:
-                brackets.append((xs[i], xs[i]))
-            elif resid[i] * resid[i + 1] < 0.0:
-                brackets.append((xs[i], xs[i + 1]))
-        if resid[-1] == 0.0:
-            brackets.append((xs[-1], xs[-1]))
         got = find_fixed_points(env).coordinates()
+        brackets = _scan_brackets(env)
         assert len(got) == len(brackets) > 0
-        for r, (lo, hi) in zip(got, sorted(brackets)):
-            assert lo <= r <= hi
+        # a zero on the grid is a point bracket, which a root rounded by
+        # np.roots (bank-run: 0.5999999999999993) holds within 1e-12
+        for lo, hi in brackets:
+            assert sum(lo - 1e-12 <= r <= hi + 1e-12 for r in got) == 1
+
+    def test_partial_identity_reports_its_ends(self):
+        # f1(x) = x exactly on [0, 0.3]: the scan sees 3001 zero residuals,
+        # one fixed piece, reported by its two ends
+        env = tabulated([0.0, 0.3, 1.0], [0.0, 0.3, 0.5])
+        assert len(_scan_brackets(env)) == 3001
+        fps = find_fixed_points(env)
+        assert fps.coordinates() == [0.0, 0.3]
+        assert not fps.unique_guaranteed
+
+    def test_piece_fixed_within_1e_12_reports_its_ends(self):
+        # f1(x) = x + 1e-13 on [0.2, 0.7]: no exact zero and no sign change
+        # there, so only the fixed-piece rule reports it
+        env = tabulated([0.0, 0.2, 0.7, 1.0], [0.5, 0.2 + 1e-13, 0.7 + 1e-13, 0.8])
+        assert find_fixed_points(env).coordinates() == [0.2, 0.7]
+
+    def test_root_on_a_knot_reported_once(self):
+        fps = find_fixed_points(tabulated([0.0, 0.5, 1.0], [0.8, 0.5, 0.1]))
+        assert fps.coordinates() == [0.5]
+        assert fps.unique_guaranteed
+
+    @pytest.mark.parametrize("family", SEEDED_FAMILIES)
+    def test_seeded_maps_match_scan_and_closed_form(self, family):
+        rng = np.random.default_rng([20, SEEDED_FAMILIES.index(family)])
+        for i in range(1 if family == "bank_run" else 200):
+            env = _seeded_map(family, rng)
+            got = find_fixed_points(env).coordinates()
+            assert len(got) == len(_scan_brackets(env)), (family, i)
+            p_star = env.exact_fixed_point()
+            if p_star is not None:
+                assert got == pytest.approx([p_star[0]], abs=1e-14), (family, i)
 
     def test_ramp_fixed_point_on_plateau(self):
         env = ramp_binary(0.1, 0.01)
@@ -262,7 +283,7 @@ class TestFixedPoints:
         rng = np.random.default_rng(n)
         A = np.stack([rng.dirichlet(np.full(n, 0.05), size=n).T for _ in range(100)])
         A = A / A.sum(axis=1, keepdims=True)
-        P = linear_fixed_point_rows(A, 1e-8)
+        P = linear_fixed_point_rows(A)
         rounds = set()
         for a, p in zip(A, P):
             want, k = _ref_linear_fixed_point(a)
@@ -273,14 +294,49 @@ class TestFixedPoints:
     def test_linear_branch_is_the_one_row_kernel(self):
         env = random_linear(6, np.random.default_rng(4))
         p = find_fixed_points(env).points[0]
-        assert np.array_equal(p.probs, linear_fixed_point_rows(env.A[None], 1e-8)[0])
+        assert np.array_equal(p.probs, linear_fixed_point_rows(env.A[None])[0])
 
     def test_stacked_residual_check_raises(self):
         # a matrix that is not column-stochastic has no fixed point on the
         # simplex; the kernel skips validation, so its residual check fires
         A = np.stack([random_linear(3, np.random.default_rng(0)).A, 0.5 * np.eye(3)])
         with pytest.raises(IterationLimitError):
-            linear_fixed_point_rows(A, 1e-8)
+            linear_fixed_point_rows(A)
+
+
+def _seeded_map(family, rng):
+    if family == "affine":
+        p_star = rng.uniform(0.0, 1.0)
+        # negative slopes are valid while both endpoints map into [0, 1]
+        steepest = min(p_star / (1.0 - p_star), (1.0 - p_star) / p_star, 0.99)
+        return affine_binary(binary_point(p_star), rng.uniform(-steepest, 0.99))
+    if family == "bank_run":
+        return bank_run()
+    if family == "ramp":
+        return ramp_binary(rng.uniform(0.01, 0.5), rng.uniform(0.01, 0.9))
+    if family == "shrink":
+        return shrink_to(binary_point(rng.uniform(0.0, 1.0)), rng.uniform(0.01, 1.0))
+    if family == "linear2":
+        return random_linear(2, rng)
+    xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, rng.integers(0, 6))]))
+    return tabulated(xs, rng.uniform(0.0, 1.0, xs.size))
+
+
+def _scan_brackets(env):
+    """The reference: f1(x) - x on a 1e-4 grid, as a per-interval loop.  A
+    grid point with a zero residual is a bracket of its own; a cell whose
+    ends change sign is another."""
+    xs = np.arange(0.0, 1.0 + 0.5e-4, 1e-4)
+    resid = env.eval1(xs) - xs
+    brackets = []
+    for i in range(xs.size - 1):
+        if resid[i] == 0.0:
+            brackets.append((xs[i], xs[i]))
+        elif resid[i] * resid[i + 1] < 0.0:
+            brackets.append((xs[i], xs[i + 1]))
+    if resid[-1] == 0.0:
+        brackets.append((xs[-1], xs[-1]))
+    return brackets
 
 
 def _ref_linear_fixed_point(A):

@@ -200,13 +200,6 @@ class TestMarket:
         # the 2% trader predicts the induced beliefs much better
         assert checks[1][0] < 0.1 * checks[0][0]
 
-    def test_round_robin_matches_synchronous_here(self):
-        env = affine_binary(binary_point(0.7), 0.5)
-        game = MarketGame(Q2, env, tuple([0.2] * 5))
-        sync = market_equilibrium(game, mode="synchronous")
-        rr = market_equilibrium(game, mode="round-robin")
-        assert l2_distance(sync.market_prediction, rr.market_prediction) <= 1e-9
-
     @pytest.mark.parametrize("N", [2, 10, 50])
     def test_batched_rounds_match_sequential_reference(self, N):
         # criterion 10's map; round counts may differ, so they are not compared
@@ -219,22 +212,16 @@ class TestMarket:
         assert np.max(np.abs(got - ref)) <= 1e-6
         assert max(eq.per_player_br_gap) <= 1e-12
 
-    @pytest.mark.parametrize("mode", ["synchronous", "round-robin"])
-    def test_round_cap_raises_with_last_profile(self, mode):
-        # this market needs 32 synchronous or 19 round-robin rounds.  With
-        # f1(h) = 0.35 + h / 2 and h = r + x / 4, a trader's score has slope
-        # 1.15 + 2 r - 3 x in its report x, so its best response is
-        # x = (1.15 + 2 r) / 3, where r is the others' weighted p1
+    def test_round_cap_raises_with_last_profile(self):
+        # this market needs 32 rounds.  With f1(h) = 0.35 + h / 2 and
+        # h = r + x / 4, a trader's score has slope 1.15 + 2 r - 3 x in its
+        # report x, so its best response is x = (1.15 + 2 r) / 3, where r is
+        # the others' weighted p1
         env = affine_binary(binary_point(0.7), 0.5)
         game = MarketGame(Q2, env, (0.25,) * 4)
         with pytest.raises(IterationLimitError) as err:
-            market_equilibrium(game, max_rounds=1, mode=mode)
-        x = np.full(4, 0.5)
-        if mode == "synchronous":
-            x[:] = (1.15 + 2.0 * 0.75 * 0.5) / 3.0
-        else:
-            for i in range(4):
-                x[i] = (1.15 + 2.0 * 0.25 * (x.sum() - x[i])) / 3.0
+            market_equilibrium(game, max_rounds=1)
+        x = np.full(4, (1.15 + 2.0 * 0.75 * 0.5) / 3.0)
         best = err.value.best
         assert best.shape == (4, 2)
         assert best[:, 0] == pytest.approx(x, abs=1e-12)
@@ -244,8 +231,6 @@ class TestMarket:
         env = affine_binary(binary_point(0.7), 0.5)
         with pytest.raises(InvalidArgumentError):
             MarketGame(Q2, env, (0.6, 0.6))
-        with pytest.raises(InvalidArgumentError):
-            market_equilibrium(MarketGame(Q2, env, (1.0,)), mode="chaotic")
 
 
 class TestExactBestResponse:
@@ -314,9 +299,8 @@ class TestExactBestResponse:
                                         np.arange(N))
                 assert np.max(np.abs(got - ref)) <= 1e-12, (n, N)
 
-    @pytest.mark.parametrize("mode", ["synchronous", "round-robin"])
     @pytest.mark.parametrize("case", ["binary N=2", "binary N=50", "n=3"])
-    def test_markets_run_no_ascent(self, monkeypatch, mode, case):
+    def test_markets_run_no_ascent(self, monkeypatch, case):
         monkeypatch.setattr(perfscore.games, "_ascend_rows", _no_ascent)
         if case == "n=3":
             env = random_linear(3, np.random.default_rng(2))
@@ -324,7 +308,7 @@ class TestExactBestResponse:
         else:
             N = int(case.split("=")[1])
             game = MarketGame(Q2, affine_binary(binary_point(0.7), 0.5), tuple([1.0 / N] * N))
-        eq = market_equilibrium(game, mode=mode)
+        eq = market_equilibrium(game)
         assert max(eq.per_player_br_gap) <= 1e-12
         assert all(ok for _, _, ok in market_power_bound_check(eq, game))
 

@@ -7,7 +7,10 @@ wall-clock time: only ``harness`` reads the clock, through
 unless ``--volatile-runtime`` is given.  Simplex faces are enumerated in
 one place: the package calls ``itertools.combinations`` once, in the
 support-enumeration kernel.  The many-outcome experiment is one array
-program in one process: ``harness`` starts no worker pool.
+program in one process: ``harness`` starts no worker pool.  Polynomial
+roots come from one place, ``scoring._real_roots``, the only caller of
+``np.roots``; and ``environment`` builds no grid, so binary fixed points
+come from the map's pieces, not from a scan.
 """
 
 import ast
@@ -130,3 +133,50 @@ def test_scan_finds_pool_imports():
         "from . import solvers\nimport numpy as np\n"
     )
     assert imported_modules(source) == {"concurrent", "multiprocessing", "numpy"}
+
+
+def calls_named(source: str, names: set) -> list:
+    """The enclosing function of every call ``name(...)`` or
+    ``<anything>.name(...)`` with ``name`` in ``names``, in source order;
+    "<module>" outside any function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_one_polynomial_root_finder():
+    found = [
+        (path.name, where)
+        for path in sorted(Path(perfscore.__file__).parent.glob("*.py"))
+        for where in calls_named(path.read_text(), {"roots"})
+    ]
+    assert found == [("scoring.py", "_real_roots")]
+
+
+def test_environment_builds_no_grid():
+    source = (Path(perfscore.__file__).parent / "environment.py").read_text()
+    assert calls_named(source, {"arange", "linspace"}) == []
+
+
+def test_scan_finds_named_calls():
+    source = (
+        "import numpy as np\nr = np.roots([1.0, 2.0])\n"
+        "def f(c):\n    def g():\n        return linspace(0, 1)\n"
+        "    return np.arange(3) + g()\n"
+        "def h(x):\n    roots = x.roots\n    return roots\n"
+    )
+    assert calls_named(source, {"roots"}) == ["<module>"]
+    assert calls_named(source, {"arange", "linspace"}) == ["g", "f"]

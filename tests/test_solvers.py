@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import perfscore.solvers as solvers
 from perfscore.bounds import design_exponential_rule
 from perfscore.environment import (
-    FixedPointConfig,
     affine_binary,
     bank_run,
     linear,
@@ -21,6 +20,7 @@ from perfscore.environment import (
 )
 from perfscore.errors import DomainError, InvalidArgumentError
 from perfscore.scoring import (
+    _SCAN_STEP,
     ScoringRule,
     exponential_binary_rule,
     logarithmic_rule,
@@ -616,7 +616,7 @@ class TestBinarySolveEffort:
             return grid(self, x, fx)
 
         monkeypatch.setattr(ScoringRule, "binary_objective_grid", counted)
-        scan = int(round(1.0 / FixedPointConfig().scan_step)) + 1
+        scan = int(round(1.0 / _SCAN_STEP)) + 1
         for family in BINARY_FAMILIES:
             rng = np.random.default_rng([74, BINARY_FAMILIES.index(family)])
             for _ in range(3):
