@@ -188,7 +188,8 @@ def stake_profile(
     grid_step: float = 1e-3,
 ) -> StakeProfile:
     """Misreport-cost grid over [p_l, p_h], its sup/inf ratio, and the
-    theoretical lower bound for epsilon-accurate rules.
+    theoretical lower bound for epsilon-accurate rules.  The grid holds
+    both ends, however wide the finite ``grid_step``.
 
     Requires the hypothesis 3 epsilon <= p_l <= p_h <= 1 - 4 epsilon;
     delta = epsilon / (L_f + 1), and the probed misreport is +4 delta.
@@ -202,11 +203,12 @@ def stake_profile(
             f"need 3*eps <= p_l <= p_h <= 1 - 4*eps, got "
             f"p_l={p_l}, p_h={p_h}, eps={epsilon}"
         )
-    if grid_step <= 0.0:
-        raise InvalidArgumentError("grid_step must be positive")
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise InvalidArgumentError(f"grid_step must be finite and > 0, got {grid_step}")
     delta = epsilon / (L_f + 1.0)
     shift = 4.0 * delta
-    count = max(1, int(round((p_h - p_l) / grid_step)) + 1)
+    # both ends are on the grid, however coarse the step
+    count = 1 if p_h == p_l else max(2, int(round((p_h - p_l) / grid_step)) + 1)
     xs = np.linspace(p_l, p_h, count)
     grid = []
     for x in xs:

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgumentError, IterationLimitError
+from .errors import InvalidArgumentError, IterationLimitError, PerfscoreError
 from .scoring import _X, _real_roots
 from .simplex import (
     SimplexPoint,
@@ -375,6 +375,8 @@ def parse_environment(spec: str, rng_seed: int = 0) -> EnvironmentMap:
                 return linear(A)
             n = int(kv.get("n", 5))
             seed = int(kv.get("seed", rng_seed))
+            if n < 2 or seed < 0:
+                raise InvalidArgumentError(f"need n >= 2 and seed >= 0 in {spec!r}")
             return random_linear(n, np.random.default_rng(seed))
         if head == "ramp":
             start = float(kv["start"]) if "start" in kv else None
@@ -383,6 +385,10 @@ def parse_environment(spec: str, rng_seed: int = 0) -> EnvironmentMap:
             return shrink_to(binary_point(float(kv["p1"])), float(kv["alpha"]))
     except KeyError as exc:
         raise InvalidArgumentError(f"missing field {exc} in {spec!r}") from exc
+    except PerfscoreError:
+        raise
+    except ValueError as exc:
+        raise InvalidArgumentError(f"bad number in {spec!r}: {exc}") from exc
     raise InvalidArgumentError(f"unknown environment {spec!r}")
 
 

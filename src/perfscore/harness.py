@@ -37,7 +37,6 @@ from .simplex import (
 )
 from .solvers import (
     OBJECTIVE_TIE_TOL,
-    _binary_grid,
     _check_resolution,
     _quadratic_simplex_rows,
     performative_optimum,
@@ -64,13 +63,15 @@ FP_DISTANCE_ALPHA_CAP = 0.95
 
 # the binary sweep's windows: each starts at 2 * _WINDOW_HALF + 1 grid
 # points around its candidate, and one array pass serves up to
-# _CHUNK_CELLS cells.  The rounding error of a value of T0 or D at a grid
-# point stays below 1e-15 of max|T0| + max|D| over the grid (measured at
-# 1e-6 on the quadratic, log and exponential rules, K up to 20), and
-# _TABLE_ROUNDING of that magnitude bounds twice the error with room to
-# spare
+# _CHUNK_CELLS cells, about 27 000 window points, whose arrays stay in
+# cache (256 cells made the 9 x 21 sweeps about 1.3x and the 9 x 1001
+# sweeps about 1.6x slower on a 2-CPU VM).  The rounding error of a value
+# of T0 or D at a grid point stays below 1e-15 of max|T0| + max|D| over
+# the grid (measured at 1e-6 on the quadratic, log and exponential rules,
+# K up to 20), and _TABLE_ROUNDING of that magnitude bounds twice the
+# error with room to spare
 _WINDOW_HALF = 128
-_CHUNK_CELLS = 256
+_CHUNK_CELLS = 32
 _TABLE_ROUNDING = 1e-13
 
 
@@ -149,12 +150,15 @@ def binary_sweep(
 
     Each cell reports the grid oracle's answer at ``resolution``: the
     first grid point within 1e-12 of the grid maximum, bit for bit as
-    ``grid_optimum_binary`` would find it on the cell's own map.  No
-    table over the grid is built.  The objective is evaluated only on
-    windows of the grid around each cell's candidates (the grid's ends and
-    the stationary points of phi), for up to ``_CHUNK_CELLS`` cells in one
-    array pass, and a cell's windows grow 4x until one of two stop rules
-    settles its answer (see ``_cells_argmax``).  Each cell records
+    ``grid_optimum_binary`` would find it on the cell's own map.  Neither
+    the grid nor a table over it is built: grid points are computed from
+    their indices (``_Grid``).  Every cell's candidates, the grid's ends and
+    the stationary points of phi, come from one call of the rule's row
+    kernel ``_line_critical_rows`` over all cells.  The objective is
+    evaluated only on windows of the grid around the candidates, for up to
+    ``_CHUNK_CELLS`` cells in one array pass, and a cell's windows grow 4x
+    until one of two stop rules settles its answer (see
+    ``_cells_argmax``).  Each cell records
     inaccuracy, distance to the fixed point (slopes <= 0.95 only),
     distances to uniform, and both accuracy bounds.  The log rule
     additionally records the logit-scale inaccuracy.  ``runtime_ms`` is
@@ -170,22 +174,26 @@ def binary_sweep(
     if not np.all((pstar_grid >= 0.0) & (pstar_grid <= 1.0)):
         raise InvalidArgumentError("sweep fixed points must lie in [0, 1]")
     t0 = time.perf_counter()
-    xs = _binary_grid(rule, resolution)
-    lo, hi = float(xs[0]), float(xs[-1])
-    slack = _rounding_slack(rule, xs)
+    xs = _Grid(rule, resolution)
+    ends = xs[[0, xs.size - 1]]
+    lo, hi = ends.tolist()
+    slack = _rounding_slack(rule, ends)
     # cell k's map is f1(x) = slopes[k] x + offsets[k], offset s (1 - alpha)
     slopes = np.repeat(alpha_grid, pstar_grid.size)
     offsets = np.tile(pstar_grid, alpha_grid.size) * (1.0 - slopes)
+    # every cell's candidates: the grid's ends and phi's stationary points
+    k = np.arange(slopes.size)
+    at, found = rule._line_critical_rows(slopes, offsets, lo, hi)
+    cell = np.concatenate([k, k, at])
+    order = np.argsort(cell)
+    cell = cell[order]
+    cands = np.concatenate([np.full(k.size, lo), np.full(k.size, hi), found])[order]
     reports = np.empty(slopes.size)
     for start in range(0, slopes.size, _CHUNK_CELLS):
         chunk = slice(start, start + _CHUNK_CELLS)
-        cell, cands = [], []
-        for k, line in enumerate(zip(slopes[chunk], offsets[chunk])):
-            found = [lo, hi] + rule._critical_points(np.array(line), lo, hi)
-            cell += [k] * len(found)
-            cands += found
+        i, j = np.searchsorted(cell, [start, start + _CHUNK_CELLS])
         reports[chunk] = xs[_cells_argmax(rule, xs, slopes[chunk], offsets[chunk],
-                                          np.array(cell), np.array(cands), slack)]
+                                          cell[i:j] - start, cands[i:j], slack)]
     runtime_ms = (time.perf_counter() - t0) * 1e3 / max(slopes.size, 1)
     records = []
     cells = iter(reports.tolist())
@@ -227,11 +235,54 @@ def binary_sweep(
     return records
 
 
+class _Grid:
+    """The points of ``solvers._binary_grid(rule, resolution)``, computed
+    from their indices.  That grid is np.linspace(0, 1, N + 1), N =
+    round(1 / resolution), whose point i is i * (1 / N) + 0.0 and whose last
+    point is exactly 1.0; the log rule's mask keeps the index range whose
+    points lie in [resolution, 1 - resolution].  ``size``, ``searchsorted``
+    and indexing by index arrays are the grid array's own."""
+
+    def __init__(self, rule, resolution):
+        self.N = int(round(1.0 / resolution))
+        self.step = 1.0 / self.N
+        self.first, end = 0, self.N + 1
+        if rule.interior_reports:
+            cut = np.array([resolution, 1.0 - resolution])
+            self.first = int(self._count(cut, np.less)[0])
+            end = int(self._count(cut, np.less_equal)[1])
+        self.size = end - self.first
+
+    def _at(self, i):
+        # + 0.0 changes no bit of a product i * (1 / N) >= 0
+        x = i * self.step
+        x[i == self.N] = 1.0
+        return x
+
+    def _count(self, v, below):
+        """How many points x of the whole grid have below(x, v), per entry
+        of the array v: the estimate ceil(v N) moved one index at a time
+        until it holds."""
+        i = np.clip(np.ceil(v * self.N), 0, self.N + 1).astype(np.intp)
+        while True:
+            down = (i > 0) & ~below(self._at(i - 1), v)
+            up = (i <= self.N) & below(self._at(i), v)
+            if not (down.any() or up.any()):
+                return i
+            i = i - down + up
+
+    def searchsorted(self, v):
+        return np.clip(self._count(v, np.less) - self.first, 0, self.size)
+
+    def __getitem__(self, idx):
+        return self._at(np.asarray(idx) + self.first)
+
+
 def _rounding_slack(rule, xs) -> float:
-    """_TABLE_ROUNDING of max|T0| + max|D| over the grid ``xs``, at least
-    _TABLE_ROUNDING.  S is affine in the belief, phi(x) = T0(x) + f1(x)
-    D(x); T0 and D are monotone on [0, 1] for every rule family, so their
-    largest magnitudes over the grid sit at its ends."""
+    """_TABLE_ROUNDING of max|T0| + max|D| over the grid ``xs`` (the grid
+    or its two ends), at least _TABLE_ROUNDING.  S is affine in the belief,
+    phi(x) = T0(x) + f1(x) D(x); T0 and D are monotone on [0, 1] for every
+    rule family, so their largest magnitudes over the grid sit at its ends."""
     T0 = rule.binary_objective_grid(xs[[0, -1]], 0.0)
     D = rule.binary_objective_grid(xs[[0, -1]], 1.0) - T0
     return _TABLE_ROUNDING * max(1.0, float(np.abs(T0).max() + np.abs(D).max()))
@@ -259,7 +310,7 @@ def _cells_argmax(rule, xs, alpha, c, cell, cands, slack) -> np.ndarray:
     points, so it is the full scan's value, bit for bit.
     """
     n = xs.size
-    centers = np.searchsorted(xs, cands)
+    centers = xs.searchsorted(cands)
     b = np.maximum(centers - _WINDOW_HALF, 0)
     e = np.minimum(centers + _WINDOW_HALF + 1, n)
     out = np.empty(alpha.size, dtype=np.intp)

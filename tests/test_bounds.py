@@ -222,6 +222,21 @@ class TestStakeProfile:
         prof = stake_profile(q, 1.0, 0.05, 0.4, 0.4)
         assert prof.sup_inf_ratio == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("step", [0.6, 1.5, 1e300])
+    def test_coarse_step_keeps_both_ends(self, step):
+        # a step wider than p_h - p_l used to leave p_l alone on the grid,
+        # with a ratio of 1 below the lower bound the designed rule beats
+        eps = 0.05
+        rule = design_exponential_rule(1.0, eps)
+        prof = stake_profile(rule, 1.0, eps, 0.25, 0.75, grid_step=step)
+        assert [x for x, _ in prof.grid] == [0.25, 0.75]
+        assert prof.sup_inf_ratio >= prof.lower_bound
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_step_validation(self, step):
+        with pytest.raises(InvalidArgumentError):
+            stake_profile(quadratic_rule(2), 1.0, 0.05, 0.25, 0.75, grid_step=step)
+
     def test_hypothesis_guard(self):
         q = quadratic_rule(2)
         with pytest.raises(InvalidArgumentError):

@@ -96,6 +96,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["bound", "--env", "linear:seed=-1"],
+         ["bound", "--env", "linear:seed=abc"],
+         ["bound", "--env", "linear:seed=1,n=-2"]]
+        + [["stake-profile", "--lf", "1", "--epsilon", "0.01", "--pl", "0.1", "--ph", "0.5",
+            "--grid-step", step] for step in ("nan", "inf", "0", "-0.001")],
+        ids=" ".join,
+    )
+    def test_bad_numbers_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_domainish_argument_failure(self):
         assert main(["stake-profile", "--rule", "quadratic", "--lf", "1.0",
                      "--epsilon", "0.05", "--pl", "0.01", "--ph", "0.5"]) == 2

@@ -372,7 +372,11 @@ class TestParsing:
         env = parse_environment(f"linear:file={path}")
         assert env.A == pytest.approx(A, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", ["affine:p1=0.5", "mystery", "ramp:zeta=0.1"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["affine:p1=0.5", "mystery", "ramp:zeta=0.1", "linear:seed=-1", "linear:seed=abc",
+         "linear:seed=1,n=-2", "linear:seed=1,n=1", "linear:seed=1.5", "affine:p1=x,alpha=0.3"],
+    )
     def test_rejects_bad_specs(self, bad):
         with pytest.raises(InvalidArgumentError):
             parse_environment(bad)

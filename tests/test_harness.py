@@ -26,9 +26,11 @@ from perfscore.harness import (
     summarize_records,
     to_json,
     _TABLE_ROUNDING,
+    _Grid,
     _cells_argmax,
     _rounding_slack,
 )
+from perfscore import scoring
 from perfscore.scoring import (
     exponential_binary_rule,
     logarithmic_rule,
@@ -254,6 +256,96 @@ class TestSweepEffort:
             D = rule.binary_objective_grid(xs, 1.0) - T0
             full = _TABLE_ROUNDING * max(1.0, float(np.abs(T0).max() + np.abs(D).max()))
             assert _rounding_slack(rule, xs) == full
+
+
+# the perfbench batch's cells and rules, and the rules whose candidates
+# are checked against the scalar enumeration
+BATCH_ALPHAS = [round(0.1 * k, 1) for k in range(1, 10)]
+BATCH_PSTARS = [round(0.05 * k, 2) for k in range(21)]
+BATCH_RULES = [Q2, logarithmic_rule(2), design_exponential_rule(1.0, 0.2)]
+SIX_RULES = BATCH_RULES + [
+    design_exponential_rule(1.0, 0.4), exponential_binary_rule(3.0), exponential_binary_rule(20.0)
+]
+# points passed to binary_objective_grid by the batch's sweep of each rule;
+# measured 160 236 (quadratic), 252 234 (log) and 166 918 (exp eps = 0.2).
+# With no stationary points among the candidates the windows around the
+# grid's ends grow until they cover the maxima: 27e6 points and more
+SWEEP_POINT_BUDGET = 300_000
+
+
+class TestSweepCandidates:
+    """The sweep's candidates come from one stacked row kernel per rule,
+    and none may go missing: ``_cells_argmax`` relies on phi being
+    monotone between a cell's candidates."""
+
+    @pytest.mark.parametrize("rule", SIX_RULES, ids=str)
+    def test_stacked_candidates_are_the_scalar_ones(self, rule):
+        # the CLI default cells: 9 slopes x fixed points 0, 1e-3, ..., 1 at 1e-6
+        xs = _Grid(rule, 1e-6)
+        lo, hi = xs[[0, xs.size - 1]].tolist()
+        slopes = np.repeat(BATCH_ALPHAS, 1001)
+        offsets = np.tile(pstar_grid(1e-3), 9) * (1.0 - slopes)
+        cell, found = rule._line_critical_rows(slopes, offsets, lo, hi)
+        for k, line in enumerate(zip(slopes, offsets)):
+            scalar = sorted(rule._critical_points(np.array(line), lo, hi))
+            stacked = np.sort(found[cell == k])
+            assert stacked.size == len(scalar), (k, stacked, scalar)
+            # far inside the _WINDOW_HALF = 128 grid steps of 1e-6 each
+            assert np.all(np.abs(stacked - scalar) <= 1e-9), (k, stacked, scalar)
+
+    @pytest.mark.parametrize("rule", BATCH_RULES, ids=str)
+    def test_point_budget(self, rule, monkeypatch):
+        spent = []
+        objective = rule.binary_objective_grid
+
+        def counted(x, fx):
+            spent.append(np.size(x))
+            # stop a run that lost its candidates before its windows get huge
+            assert sum(spent) <= SWEEP_POINT_BUDGET
+            return objective(x, fx)
+
+        monkeypatch.setattr(rule, "binary_objective_grid", counted)
+        binary_sweep(rule, BATCH_ALPHAS, BATCH_PSTARS, 1e-6)
+        assert 0 < sum(spent) <= SWEEP_POINT_BUDGET
+
+    @pytest.mark.parametrize("rule", SIX_RULES, ids=str)
+    def test_sweep_does_no_per_cell_work(self, rule, monkeypatch):
+        calls = []
+        critical_points, brentq = rule._critical_points, scoring.brentq
+
+        def counted_points(*args):
+            calls.append("_critical_points")
+            return critical_points(*args)
+
+        def counted_brentq(*args, **kwargs):
+            calls.append("brentq")
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(rule, "_critical_points", counted_points)
+        monkeypatch.setattr(scoring, "brentq", counted_brentq)
+        binary_sweep(rule, BATCH_ALPHAS, BATCH_PSTARS, 1e-6)
+        assert calls == []
+        # the counters do count: the exact solver enumerates per piece
+        performative_optimum(rule, affine_binary(binary_point(0.3), 0.6))
+        assert "_critical_points" in calls
+
+
+class TestGrid:
+    """``_Grid`` is ``_binary_grid`` computed from indices."""
+
+    @pytest.mark.parametrize("rule", [Q2, logarithmic_rule(2)], ids=str)
+    @pytest.mark.parametrize("resolution", [1e-3, 3e-4, 1e-4, 8.1e-6, 1e-6, 1 / 123457])
+    def test_points_are_the_linspace_grid(self, rule, resolution):
+        xs = _binary_grid(rule, resolution)
+        grid = _Grid(rule, resolution)
+        assert grid.size == xs.size
+        assert grid[np.arange(grid.size)].tobytes() == xs.tobytes()
+        probes = np.concatenate([
+            xs[::97], np.nextafter(xs[::89], -1.0), np.nextafter(xs[::83], 2.0),
+            [-1.0, 0.0, resolution, 0.5, 1.0 - resolution, 1.0, 2.0],
+            np.random.default_rng(7).uniform(0.0, 1.0, 500),
+        ])
+        assert np.array_equal(grid.searchsorted(probes), np.searchsorted(xs, probes))
 
 
 class TestMaxCurves:

@@ -9,8 +9,9 @@ one place: the package calls ``itertools.combinations`` once, in the
 support-enumeration kernel.  The many-outcome experiment is one array
 program in one process: ``harness`` starts no worker pool.  Polynomial
 roots come from one place, ``scoring._real_roots``, the only caller of
-``np.roots``; and ``environment`` builds no grid, so binary fixed points
-come from the map's pieces, not from a scan.
+``np.roots``; ``environment`` builds no grid, so binary fixed points
+come from the map's pieces, not from a scan; and the binary sweep in
+``harness`` never builds its 1e6-point grid.
 """
 
 import ast
@@ -169,6 +170,16 @@ def test_one_polynomial_root_finder():
 def test_environment_builds_no_grid():
     source = (Path(perfscore.__file__).parent / "environment.py").read_text()
     assert calls_named(source, {"arange", "linspace"}) == []
+
+
+def test_sweep_builds_no_grid():
+    # the sweep computes grid points from their indices (harness._Grid)
+    tree = ast.parse((Path(perfscore.__file__).parent / "harness.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for a in node.names}
+    assert not names & {"_binary_grid", "linspace"}
 
 
 def test_scan_finds_named_calls():

@@ -13,7 +13,8 @@ from perfscore.scoring import (
     logarithmic_rule,
     parse_rule,
     quadratic_rule,
-    _real_roots,
+    _bisect_rows,
+    _line_roots,
 )
 from perfscore.simplex import (
     SimplexPoint,
@@ -311,16 +312,17 @@ def np_roots_in(C, a, z):
 
 
 class TestRealRoots:
-    """A line's root is -C1/C0 in closed form; it must be np.roots' root,
-    bit for bit."""
+    """A line's root is -C1/C0 in closed form (``_line_roots``); it must be
+    np.roots' root, bit for bit."""
 
     def test_lines_match_np_roots(self):
         rng = np.random.default_rng(1919)
         lines = rng.choice([-1.0, 1.0], (2000, 2)) * 10.0 ** rng.uniform(-5.0, 5.0, (2000, 2))
-        for C in lines:
-            for a, z in ((-math.inf, math.inf), (0.0, 1.0)):
-                got, ref = _real_roots(C, a, z), np_roots_in(C, a, z)
-                assert np.array(got).tobytes() == np.array(ref).tobytes()
+        for a, z in ((-math.inf, math.inf), (0.0, 1.0)):
+            rows, roots = _line_roots(lines[:, 0], lines[:, 1], a, z)
+            for k, C in enumerate(lines):
+                ref = np_roots_in(C, a, z)
+                assert roots[rows == k].tobytes() == np.array(ref).tobytes()
 
     @pytest.mark.parametrize(
         "C, roots",
@@ -329,9 +331,65 @@ class TestRealRoots:
     def test_zero_coefficients(self, C, roots):
         # a zero constant term gives an unsigned zero root; a zero leading
         # coefficient leaves no line and no root
-        got = _real_roots(np.array(C), -1.0, 1.0)
-        assert np.array(got).tobytes() == np.array(roots).tobytes()
-        assert np.array(got).tobytes() == np.array(np_roots_in(C, -1.0, 1.0)).tobytes()
+        got = _line_roots(np.array(C[:1]), np.array(C[1:]), -1.0, 1.0)[1]
+        assert got.tobytes() == np.array(roots).tobytes()
+        assert got.tobytes() == np.array(np_roots_in(C, -1.0, 1.0)).tobytes()
+
+
+def random_lines(count, seed):
+    """Slopes and offsets of affine f1, most of them maps of [0, 1] into
+    itself and some steep or far off it."""
+    rng = np.random.default_rng(seed)
+    b = np.concatenate([rng.uniform(-1.0, 1.0, count), rng.uniform(-5.0, 5.0, count // 4)])
+    c = np.concatenate([rng.uniform(0.0, 1.0, count), rng.uniform(-3.0, 3.0, count // 4)])
+    return b, c
+
+
+INTERVALS = [(1e-6, 1.0 - 1e-6), (0.0, 1.0), (0.2, 0.45), (0.55, 0.9), (1e-3, 0.5)]
+
+
+class TestLineCriticalRows:
+    """One row kernel per rule gives the stationary points of phi on the
+    lines f1 = b x + c, as (row, x) arrays."""
+
+    @pytest.mark.parametrize(
+        "rule", [quadratic_rule(2), exponential_binary_rule(3.0), exponential_binary_rule(0.5)],
+        ids=str,
+    )
+    def test_closed_forms_are_the_polynomial_roots(self, rule):
+        # a leading zero sends the line through the general polynomial path
+        b, c = random_lines(400, 2121)
+        b[:3], c[:3] = [0.5, 1.0, 1.0], [0.25, 0.0, 0.3]  # zero leading coefficients
+        for a, z in INTERVALS:
+            row, x = rule._line_critical_rows(b, c, a, z)
+            for k in range(b.size):
+                ref = rule._critical_points(np.array([0.0, b[k], c[k]]), a, z)
+                assert x[row == k].tobytes() == np.array(ref).tobytes()
+
+    def test_log_rows_are_the_scalar_roots(self):
+        rule = logarithmic_rule(2)
+        b, c = random_lines(300, 2122)
+        found = 0
+        for a, z in INTERVALS[:1] + INTERVALS[2:]:
+            row, x = rule._line_critical_rows(b, c, a, z)
+            for k in range(b.size):
+                ref = sorted(rule._critical_points(np.array([b[k], c[k]]), a, z))
+                got = np.sort(x[row == k])
+                assert got.size == len(ref)
+                assert np.all(np.abs(got - ref) <= 1e-12)
+                found += got.size
+        assert found > 500
+
+    def test_bisection(self):
+        # brackets of either orientation shrink to adjacent floats; a
+        # midpoint where g is exactly 0 closes its bracket; none is fine
+        lo, hi = np.array([0.0, 0.0, 0.1]), np.array([1.0, 1.0, 2.0])
+        shift = np.array([0.5, 0.3, 1.0 / 3.0])
+        sign = np.array([1.0, -1.0, 1.0])
+        roots = _bisect_rows(lambda x: sign * (x - shift), lo, hi)
+        assert roots[0] == 0.5
+        assert np.all(np.abs(roots - shift) <= np.spacing(shift))
+        assert _bisect_rows(lambda x: x, np.zeros(0), np.zeros(0)).size == 0
 
 
 FAMILIES = [
