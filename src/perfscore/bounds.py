@@ -27,10 +27,11 @@ import numpy as np
 from .environment import EnvironmentMap
 from .errors import DomainError, InvalidArgumentError
 from .scoring import MIN_EXPONENT, ScoringRule, _log_rate_max, exponential_binary_rule
-from .simplex import SimplexPoint, binary_point, tangent_operator_norm
+from .simplex import SimplexPoint, checked_rows, tangent_operator_norm
 
 INACCURACY = "inaccuracy"
 FIXED_POINT_DISTANCE = "fixed_point_distance"
+MAX_STAKE_POINTS = 10**6 + 1
 
 
 @dataclass
@@ -189,7 +190,8 @@ def stake_profile(
 ) -> StakeProfile:
     """Misreport-cost grid over [p_l, p_h], its sup/inf ratio, and the
     theoretical lower bound for epsilon-accurate rules.  The grid holds
-    both ends, however wide the finite ``grid_step``.
+    both ends, however wide the finite ``grid_step``, and at most
+    MAX_STAKE_POINTS points.
 
     Requires the hypothesis 3 epsilon <= p_l <= p_h <= 1 - 4 epsilon;
     delta = epsilon / (L_f + 1), and the probed misreport is +4 delta.
@@ -205,20 +207,21 @@ def stake_profile(
         )
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise InvalidArgumentError(f"grid_step must be finite and > 0, got {grid_step}")
+    steps = (p_h - p_l) / grid_step
+    # a subnormal step makes the quotient infinite, which this rejects too
+    if steps > MAX_STAKE_POINTS - 1:
+        raise InvalidArgumentError(
+            f"grid_step={grid_step} asks for more than {MAX_STAKE_POINTS} grid points"
+        )
     delta = epsilon / (L_f + 1.0)
     shift = 4.0 * delta
     # both ends are on the grid, however coarse the step
-    count = 1 if p_h == p_l else max(2, int(round((p_h - p_l) / grid_step)) + 1)
+    count = 1 if p_h == p_l else max(2, int(round(steps)) + 1)
     xs = np.linspace(p_l, p_h, count)
-    grid = []
-    for x in xs:
-        truth = binary_point(float(x))
-        shifted = binary_point(float(x) + shift)
-        cost = rule.expected_score(truth, truth) - rule.expected_score(
-            shifted, truth
-        )
-        grid.append((float(x), float(cost)))
-    costs = np.array([c for _, c in grid])
+    T = checked_rows(np.column_stack([xs, 1.0 - xs]))
+    shifted = checked_rows(np.column_stack([xs + shift, 1.0 - (xs + shift)]))
+    costs = rule._objective_rows(T, T) - rule._objective_rows(shifted, T)
+    grid = list(zip(xs.tolist(), costs.tolist()))
     if np.any(costs < -1e-12):
         raise DomainError("negative misreporting cost: rule is not proper")
     costs = np.clip(costs, 0.0, None)

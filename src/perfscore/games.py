@@ -32,6 +32,7 @@ from .simplex import (
     uniform_point,
 )
 from .solvers import (
+    ASCENT_STEP,
     OnlineTrace,
     SolveConfig,
     _ascend_rows,
@@ -41,6 +42,9 @@ from .solvers import (
     _RowProblem,
     performative_optimum,
 )
+
+# the optimizer behind the honest-report argmax and the stability cross-check
+ARGMAX_CONFIG = SolveConfig(max_iters=200, restarts=4, grid_resolution=1e-5)
 
 
 def honest_report_argmax(
@@ -53,7 +57,7 @@ def honest_report_argmax(
     doubles as an independent cross-check of the optimizer.
     """
     frozen = shrink_to(q, 1.0)
-    cfg = cfg or SolveConfig(max_iters=200, restarts=4, grid_resolution=1e-5)
+    cfg = cfg or ARGMAX_CONFIG
     return performative_optimum(rule, frozen, cfg).report
 
 
@@ -74,9 +78,8 @@ def is_performatively_stable(
     residual = l2_distance(f.eval(p), p)
     verdict = residual <= tol
     if cross_check:
-        cfg = SolveConfig(max_iters=200, restarts=4, grid_resolution=1e-5)
-        argmax = honest_report_argmax(rule, f.eval(p), cfg)
-        slack = 10.0 * cfg.grid_resolution if f.n == 2 else 1e-4
+        argmax = honest_report_argmax(rule, f.eval(p))
+        slack = 10.0 * ARGMAX_CONFIG.grid_resolution if f.n == 2 else 1e-4
         agree = (l2_distance(argmax, p) <= tol + slack) == verdict
         if not agree and abs(residual - tol) > slack:
             raise IterationLimitError(
@@ -125,9 +128,6 @@ def rank_fixed_points(rule: ScoringRule, fps: FixedPointSet) -> list:
 # -- prediction markets ---------------------------------------------------------
 
 
-BEST_RESPONSE_STEP = 0.5
-
-
 @dataclass(frozen=True)
 class MarketGame:
     """N weighted traders scored against outcomes from f(weighted average)."""
@@ -172,7 +172,7 @@ def _best_responses(game: MarketGame, own, rest, weight, inner_iters, tol):
         M = weight[:, None, None] * (A + A.T) - np.eye(game.f.n)
         return _quadratic_simplex_rows(M + c[:, :, None] + c[:, None, :])
     problem = _RowProblem(game.rule, game.f, rest, weight)
-    return _ascend_rows(problem, own, inner_iters, BEST_RESPONSE_STEP, tol).P
+    return _ascend_rows(problem, own, inner_iters, ASCENT_STEP, tol).P
 
 
 def market_equilibrium(

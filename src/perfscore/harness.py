@@ -536,11 +536,12 @@ def counterexample_demo(
 ) -> CounterexampleReport:
     """Exhibit a contraction toward p* whose fixed point is not optimal.
 
-    Picks an interior report p' with strictly higher potential than p*,
-    then bisects on the shrink rate to find where p' stops beating the
-    honest report; any rate below the crossing leaves the unique fixed
-    point p* suboptimal.  Existence is guaranteed for every strictly
-    proper rule and interior p*.
+    Picks an interior report p' with strictly higher potential than p*.
+    Under f(p) = (1 - a) p + a p*, phi(p') = (1 - a) G(p') + a S(p', p*) is
+    affine in a, so p' stops beating the honest score G(p*) at the crossing
+    a = (G(p') - G(p*)) / (G(p') - S(p', p*)), clipped to 1; any rate below
+    it leaves the unique fixed point p* suboptimal.  Existence is
+    guaranteed for every strictly proper rule and interior p*.
     """
     n = p_star.n if n is None else n
     if n != p_star.n or rule.n != n:
@@ -554,33 +555,18 @@ def counterexample_demo(
         candidates.append(SimplexPoint(v / v.sum()))
     base = rule.potential(p_star)
     p_prime = max(candidates, key=rule.potential)
-    if rule.potential(p_prime) <= base:
+    top = rule.potential(p_prime)
+    if top <= base:
         raise InvalidArgumentError(f"potential not improvable from {p_star!r}")
-
-    def gap(alpha: float) -> float:
-        env = shrink_to(p_star, alpha)
-        return rule.expected_score(p_prime, env.eval(p_prime)) - rule.expected_score(
-            p_star, p_star
-        )
-
-    lo, hi = 0.0, 1.0
-    if gap(1.0) > 0.0:
-        crossing = 1.0
-    else:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if gap(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        crossing = lo
+    crossing = min(1.0, (top - base) / (top - rule.expected_score(p_prime, p_star)))
     alpha = 0.5 * crossing
+    env = shrink_to(p_star, alpha)
     return CounterexampleReport(
         alpha=alpha,
         crossing_alpha=crossing,
         p_prime=p_prime,
         fixed_point=p_star,
-        score_gap=gap(alpha),
+        score_gap=rule.expected_score(p_prime, env.eval(p_prime)) - base,
     )
 
 

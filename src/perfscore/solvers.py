@@ -11,16 +11,18 @@ program, solved exactly by support enumeration (``_quadratic_simplex_rows``,
 one stacked solve per support size).  A binary problem is
 solved exactly by critical-point enumeration: phi is evaluated only at
 the ends, the map's knots and each piece's stationary points (closed
-forms, or roots bracketed for ``brentq``).  Everything else (phi is not
-concave in general) gets multi-start projected gradient ascent, bounded
-by an iteration cap and never by wall-clock time.  All starts advance
-together: one kernel moves an (R, n) array of reports, one row per start,
-through the rules' and maps' row kernels on bare arrays and a row-wise
-simplex projection, each row with its own step, backtracking and stops;
-the iterates get the ``SimplexPoint`` checks as array checks, and point
-objects are built only for the returned results.  The market best
-responses in ``games`` run on the same kernel, except under the quadratic
-rule and a linear map, where they are rows of the support enumeration.
+forms, or roots bracketed for ``brentq``).  The one class left, the log
+rule under a linear map with n > 2 (phi is not concave in general), gets
+multi-start projected gradient ascent, bounded by an iteration cap and
+never by wall-clock time, and its winner is finished by damped Newton
+steps on the tangent space.  All starts advance together: one kernel
+moves an (R, n) array of reports, one row per start, through the rules'
+and maps' row kernels on bare arrays and a row-wise simplex projection,
+each row with its own step, backtracking and stops; the iterates get the
+``SimplexPoint`` checks as array checks, and point objects are built only
+for the returned results.  The market best responses in ``games`` run on
+the same kernel, except under the quadratic rule and a linear map, where
+they are rows of the support enumeration.
 Every choice among candidates follows one tie rule (``_best_index``):
 within 1e-12 of the best value, the lexicographically smallest report
 wins.  The remaining routines
@@ -38,6 +40,7 @@ from itertools import accumulate, combinations
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .environment import EnvironmentMap, LinearMap
 from .errors import DomainError, InvalidArgumentError
@@ -52,11 +55,16 @@ from .simplex import (
     project_shrunk_raw,
     project_to_simplex,
     sample_simplex_points,
+    tangent_basis,
 )
 
 OBJECTIVE_TIE_TOL = 1e-12
 MAX_BACKTRACKS = 40
 LOG_INTERIOR_NUDGE = 1e-6
+# the ascent's first step length, and its gradient-norm and move stop
+ASCENT_STEP = 0.5
+ASCENT_TOL = 1e-10
+NEWTON_STEPS = 20
 
 
 @dataclass
@@ -65,17 +73,11 @@ class SolveConfig:
     the log rule's binary reports to [res, 1 - res]."""
 
     max_iters: int = 500
-    step_size: float = 0.5
-    tol: float = 1e-10
     restarts: int = 16
     seed: int = 0
     grid_resolution: float = 1e-5
 
     def __post_init__(self):
-        for name in ("tol", "step_size"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise InvalidArgumentError(f"{name} must be finite and positive, got {value}")
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be >= 1")
         if self.restarts < 1:
@@ -247,59 +249,47 @@ def _ascend_rows(
     return rows
 
 
-def _polish_interior(problem: _RowProblem, rows: _Rows, k: int, cfg: SolveConfig) -> SolveResult:
-    """Row k of a finished ascent as a result, its gradient norm driven
-    below tol at an interior optimum.
+def _log_linear_hessian_rows(A: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Hessians of phi(p) = sum_i (Ap)_i log p_i at the interior rows of P:
+    A/p[:, None] + (A/p[:, None])^T - diag((Ap)/p^2), stacked (k, n, n)."""
+    M = A / P[:, :, None]
+    H = M + M.transpose(0, 2, 1)
+    i = np.arange(P.shape[1])
+    H[:, i, i] -= (P @ A.T) / P**2
+    return H
 
-    The line-search ascent cannot resolve objective improvements below
-    floating rounding (~1e-8 displacements), so the final sharpening
-    accepts steps by gradient-norm decrease instead.  It takes at most
-    ``cfg.max_iters`` minus the row's iterations, so ``iterations`` never
-    exceeds ``cfg.max_iters``.
+
+def _newton_finish(problem: _RowProblem, x: np.ndarray, gn: float):
+    """Damped Newton steps d = B (-B^T H B)^-1 B^T grad phi on the tangent
+    space from the (1, n) report x of a log-rule solve under a linear map.
+
+    A full step is taken while -B^T H B has a Cholesky factor, the new
+    report passes ``checked_rows`` and stays interior, and the tangent
+    gradient norm falls; at most NEWTON_STEPS steps.  Returns the report,
+    its gradient norm and the number of steps taken.
     """
-    report = SimplexPoint(rows.P[k])
-    start = it = int(rows.iterations[k])
-    gn = float(rows.gradient_norm[k])
-    if report.is_interior(1e-9):
-        X = report.probs[None, :]
-        G = problem.gradient(X, None)
+    B = tangent_basis(x.shape[1])
+    steps = 0
+    if problem.rule._defined_rows(x)[0]:
+        G = problem.gradient(x, None)
         gn = float(norm_rows(G)[0])
-        phi = float(problem.objective(X, None)[0])
-        # allowance below which objective changes are indistinguishable from
-        # rounding; large enough to admit genuine polish steps, small enough to
-        # veto jumps out of the basin
-        slack = 1e-9 * max(1.0, abs(phi))
-        for _ in range(cfg.max_iters - start):
-            if gn <= cfg.tol:
+        while steps < NEWTON_STEPS and gn > 0.0:
+            K = -(B.T @ _log_linear_hessian_rows(problem.f.A, x)[0] @ B)
+            try:
+                factor = cho_factor(K)
+            except np.linalg.LinAlgError:
                 break
-            step = cfg.step_size
-            accepted = None
-            for _ in range(MAX_BACKTRACKS + 1):
-                cand = checked_rows(project_rows(X + step * G))
-                if problem.rule._defined_rows(cand)[0]:
-                    cand_G = problem.gradient(cand, None)
-                    cand_gn = float(norm_rows(cand_G)[0])
-                else:
-                    cand_gn = float("inf")
-                if cand_gn < gn and problem.objective(cand, None)[0] >= phi - slack:
-                    accepted = (cand, cand_G, cand_gn)
-                    break
-                step *= 0.5
-            if accepted is None:
+            cand = x + B @ cho_solve(factor, B.T @ G[0])
+            if not problem.rule._defined_rows(cand)[0]:
                 break
-            X, G, gn = accepted
-            phi = float(problem.objective(X, None)[0])
-            it += 1
-        if it > start:
-            report = SimplexPoint(X[0])
-    return SolveResult(
-        report=report,
-        # the recomputable objective, as the exact paths store it
-        objective=_objective(problem.rule, problem.f, report),
-        converged=bool(rows.converged[k]) or gn <= cfg.tol,
-        iterations=it,
-        gradient_norm_final=gn,
-    )
+            cand = checked_rows(cand)
+            cand_G = problem.gradient(cand, None)
+            cand_gn = float(norm_rows(cand_G)[0])
+            if not cand_gn < gn:
+                break
+            x, G, gn = cand, cand_G, cand_gn
+            steps += 1
+    return x, gn, steps
 
 
 def _structured_starts(rule, n, cfg, rng) -> np.ndarray:
@@ -407,7 +397,9 @@ def performative_optimum(
     - a binary problem returns the best of the ends, the map's knots and
       the stationary points of each piece (critical-point enumeration);
       ``iterations`` counts the candidates;
-    - everything else runs the multi-start ascent (``_multistart_ascent``).
+    - the log rule under a linear map with n > 2, the one class without an
+      exact method, runs the multi-start ascent with a Newton finish
+      (``_multistart_ascent``).
 
     The first two run no ascent and draw no random numbers.
     Non-convergence is reported through ``converged``, never raised.
@@ -425,18 +417,31 @@ def performative_optimum(
     return _multistart_ascent(rule, f, cfg)
 
 
-def _multistart_ascent(rule: ScoringRule, f: EnvironmentMap, cfg: SolveConfig) -> SolveResult:
-    """Multi-start projected gradient ascent on phi, for any class.
+def _multistart_ascent(rule: ScoringRule, f: LinearMap, cfg: SolveConfig) -> SolveResult:
+    """The solver of the log rule under a linear map with n > 2.
 
-    Starts from the barycenter, inward-nudged vertices, face centers and
-    seeded uniform draws, all advancing together as one batch of rows,
-    each for at most ``cfg.max_iters`` steps; the best-scoring row wins
-    (ties within 1e-12 to the smallest report) and is polished.
+    Multi-start projected gradient ascent on phi from the barycenter,
+    inward-nudged vertices, face centers and seeded uniform draws, all
+    advancing together as one batch of rows, each for at most
+    ``cfg.max_iters`` steps.  The best-scoring row (ties within 1e-12 to the
+    smallest report) is finished by ``_newton_finish``, outside that cap:
+    ``iterations`` counts the row's ascent steps plus the Newton steps, and
+    ``converged`` means a tangent gradient norm <= ASCENT_TOL at the report.
     """
     starts = _structured_starts(rule, f.n, cfg, np.random.default_rng(cfg.seed))
     problem = _RowProblem(rule, f)
-    rows = _ascend_rows(problem, starts, cfg.max_iters, cfg.step_size, cfg.tol)
-    return _polish_interior(problem, rows, int(_best_index(rows.P, rows.phi)), cfg)
+    rows = _ascend_rows(problem, starts, cfg.max_iters, ASCENT_STEP, ASCENT_TOL)
+    k = int(_best_index(rows.P, rows.phi))
+    x, gn, steps = _newton_finish(problem, rows.P[k:k + 1], float(rows.gradient_norm[k]))
+    report = SimplexPoint(x[0])
+    return SolveResult(
+        report=report,
+        # the recomputable objective, as the exact paths store it
+        objective=_objective(rule, f, report),
+        converged=gn <= ASCENT_TOL,
+        iterations=int(rows.iterations[k]) + steps,
+        gradient_norm_final=gn,
+    )
 
 
 def _quadratic_linear(rule: ScoringRule, f: EnvironmentMap) -> bool:

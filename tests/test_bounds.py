@@ -5,6 +5,7 @@ import pytest
 
 from perfscore.bounds import (
     FIXED_POINT_DISTANCE,
+    MAX_STAKE_POINTS,
     design_exponential_rule,
     fixed_point_distance_bound,
     inaccuracy_bound,
@@ -17,6 +18,7 @@ from perfscore.errors import DomainError, InvalidArgumentError
 from perfscore.scoring import (
     exponential_binary_rule,
     logarithmic_rule,
+    parse_rule,
     quadratic_rule,
 )
 from perfscore.simplex import binary_point, l2_distance, uniform_point
@@ -232,10 +234,27 @@ class TestStakeProfile:
         assert [x for x, _ in prof.grid] == [0.25, 0.75]
         assert prof.sup_inf_ratio >= prof.lower_bound
 
-    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+    # 1e-9 and 1e-300 ask for 5e8 and 5e299 points, 5e-324 for infinitely many
+    @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf"),
+                                      1e-9, 1e-300, 5e-324])
     def test_step_validation(self, step):
         with pytest.raises(InvalidArgumentError):
             stake_profile(quadratic_rule(2), 1.0, 0.05, 0.25, 0.75, grid_step=step)
+
+    def test_largest_grid(self):
+        prof = stake_profile(quadratic_rule(2), 1.0, 0.05, 0.25, 0.75, grid_step=5e-7)
+        assert len(prof.grid) == MAX_STAKE_POINTS
+
+    @pytest.mark.parametrize("spec", ["exp:K=28.3", "quadratic", "log"])
+    def test_costs_match_pointwise_scores(self, spec):
+        rule = parse_rule(spec, 2)
+        prof = stake_profile(rule, 1.0, 0.05, 0.25, 0.75)
+        shift = 4.0 * prof.delta
+        for x, cost in prof.grid:
+            truth = binary_point(x)
+            want = rule.expected_score(truth, truth) - rule.expected_score(
+                binary_point(x + shift), truth)
+            assert cost == want
 
     def test_hypothesis_guard(self):
         q = quadratic_rule(2)

@@ -102,7 +102,7 @@ class TestExitCodes:
          ["bound", "--env", "linear:seed=abc"],
          ["bound", "--env", "linear:seed=1,n=-2"]]
         + [["stake-profile", "--lf", "1", "--epsilon", "0.01", "--pl", "0.1", "--ph", "0.5",
-            "--grid-step", step] for step in ("nan", "inf", "0", "-0.001")],
+            "--grid-step", step] for step in ("nan", "inf", "0", "-0.001", "1e-300")],
         ids=" ".join,
     )
     def test_bad_numbers_exit_2(self, argv, capsys):

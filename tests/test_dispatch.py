@@ -4,17 +4,21 @@ A rule family is a class, not a ``kind`` string: no module compares
 ``kind``, and at most one ``isinstance`` on a family class (the exact
 quadratic oracle's class test) sits outside ``scoring``.  The public
 methods are written once, on the ``ScoringRule`` base, so a profiler that
-names spans by module and method sees one span per name.
+names spans by module and method sees one span per name.  Of every rule
+family and map family at n = 2 and 3, only the log rule under a linear map
+with n = 3 reaches the multi-start ascent.
 """
 
 import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import perfscore
-from perfscore import scoring
+from perfscore import environment, scoring, solvers
+from perfscore.simplex import binary_point
 
 SOURCES = sorted(Path(perfscore.__file__).parent.glob("*.py"))
 
@@ -69,3 +73,45 @@ def test_family_defines_no_public_method(family):
         and (callable(value) or isinstance(value, (staticmethod, classmethod, property)))
     ]
     assert public == []
+
+
+# one map per family and size; the binary-only families have no n = 3 map
+MAPS = {
+    (environment.LinearMap, 2): environment.affine_binary(binary_point(0.7), 0.5),
+    (environment.LinearMap, 3): environment.random_linear(3, np.random.default_rng(5)),
+    (environment.PiecewiseLinearMap, 2): environment.ramp_binary(0.1, 0.05),
+    (environment.BankRunMap, 2): environment.bank_run(),
+}
+# the exponential rule is binary only
+RULES = {
+    (scoring.QuadraticRule, 2): scoring.quadratic_rule(2),
+    (scoring.QuadraticRule, 3): scoring.quadratic_rule(3),
+    (scoring.LogarithmicRule, 2): scoring.logarithmic_rule(2),
+    (scoring.LogarithmicRule, 3): scoring.logarithmic_rule(3),
+    (scoring.ExponentialRule, 2): scoring.exponential_binary_rule(3.0),
+}
+
+
+def test_every_family_has_a_case():
+    map_families = {
+        cls for cls in vars(environment).values()
+        if inspect.isclass(cls) and issubclass(cls, environment.EnvironmentMap)
+        and cls is not environment.EnvironmentMap
+    }
+    assert {cls for cls, _ in MAPS} == map_families
+    assert {cls for cls, _ in RULES} == set(FAMILIES)
+
+
+@pytest.mark.parametrize(
+    "rule_key, map_key",
+    [(r, m) for r in RULES for m in MAPS if r[1] == m[1]],
+    ids=lambda key: f"{key[0].__name__}-n{key[1]}",
+)
+def test_only_log_linear_reaches_the_ascent(rule_key, map_key, monkeypatch):
+    calls = []
+    ascent = solvers._multistart_ascent
+    monkeypatch.setattr(solvers, "_multistart_ascent",
+                        lambda *args: calls.append(1) or ascent(*args))
+    solvers.performative_optimum(RULES[rule_key], MAPS[map_key])
+    expected = rule_key == (scoring.LogarithmicRule, 3) and map_key[0] is environment.LinearMap
+    assert len(calls) == int(expected)

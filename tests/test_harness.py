@@ -504,6 +504,32 @@ class TestCounterexamples:
         with pytest.raises(InvalidArgumentError):
             counterexample_demo(Q2, binary_point(1.0))
 
+    @pytest.mark.parametrize(
+        "rule, p_star",
+        [(Q2, binary_point(0.5)), (Q2, binary_point(0.2)),
+         (logarithmic_rule(2), binary_point(0.4)),
+         (exponential_binary_rule(4.0), binary_point(0.4)),
+         (exponential_binary_rule(4.0), binary_point(0.3)),
+         (quadratic_rule(5), uniform_point(5)), (logarithmic_rule(3), uniform_point(3))],
+        ids=["quadratic-0.5", "quadratic-0.2", "log-0.4", "exp-0.4", "exp-0.3",
+             "quadratic-n5", "log-n3"],
+    )
+    def test_gap_vanishes_at_the_crossing(self, rule, p_star):
+        from perfscore.environment import shrink_to
+
+        # phi(p') at rate a is (1 - a) G(p') + a S(p', p*): rounding scales
+        # with the larger of the two terms
+        rep = counterexample_demo(rule, p_star)
+        env = shrink_to(p_star, rep.crossing_alpha)
+        gap = rule.expected_score(rep.p_prime, env.eval(rep.p_prime)) - rule.potential(p_star)
+        terms = (rule.potential(rep.p_prime), rule.expected_score(rep.p_prime, p_star))
+        assert abs(gap) <= 1e-15 * max(1.0, *map(abs, terms))
+        assert 0.0 < rep.crossing_alpha < 1.0 and rep.alpha == 0.5 * rep.crossing_alpha
+
+    def test_symmetric_quadratic_crossing_is_one_half(self):
+        # G(p') - G(p*) and G(p') - S(p', p*) are both 2 (p'_1 - 1/2)^2 here
+        assert counterexample_demo(Q2, binary_point(0.5)).crossing_alpha == 0.5
+
     def test_ramp_demo_distance(self):
         rep = ramp_distance_demo(Q2, zeta=0.1, eps=0.01)
         assert rep.fixed_point[0] == pytest.approx(0.9)
