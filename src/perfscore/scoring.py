@@ -46,9 +46,8 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .errors import DomainError, InvalidArgumentError
+from .errors import DomainError, InvalidArgumentError, IterationLimitError
 from .simplex import (
     SimplexPoint,
     TangentVector,
@@ -64,6 +63,7 @@ MIN_EXPONENT = 1e-6
 # curved f1 its roots have no closed form: they are bracketed on this grid
 _SCAN_STEP = 1e-4
 _ROOT_XTOL = 1e-15
+_EPS = float(np.finfo(float).eps)
 _X = np.array([1.0, 0.0])  # the polynomial x
 
 
@@ -181,8 +181,9 @@ class ScoringRule:
     # the points of (a, z) where phi' = 0; the row kernel for lines,
     # _line_critical_rows(b, c, a, z), gives them for all lines f1 = b[r] x
     # + c[r] at once as arrays (r, x).  A line's _critical_points is its
-    # one-row call, except that the log rule's keeps brentq (75 us a line
-    # on a 2-CPU VM, against 1.1 ms for a one-row stacked bisection).
+    # one-row call, except that the log rule's keeps Brent's method
+    # (``_brentq``: 136 us a line on one thread of a 2-CPU Xeon VM, against
+    # 1.1 ms for a one-row stacked bisection).
 
     def _defined_rows(self, P: np.ndarray) -> np.ndarray:
         """Rows where g and Dg are finite: the log rule needs interior reports."""
@@ -321,7 +322,7 @@ class LogarithmicRule(ScoringRule):
         halves = np.sort(cuts)
         for u, v in zip(halves[:-1], halves[1:]):
             if _log_dh(b, u) * _log_dh(b, v) < 0.0:
-                cuts.append(brentq(lambda x: _log_dh(b, x), u, v, xtol=_ROOT_XTOL))
+                cuts.append(_brentq(lambda x: _log_dh(b, x), u, v, _ROOT_XTOL))
         return _bracketed_roots(h, np.sort(cuts))
 
     @staticmethod
@@ -349,13 +350,12 @@ class LogarithmicRule(ScoringRule):
 
 @cache
 def _log_rate_max() -> tuple:
-    """(max, argmax) over x of the binary log rule's bound rate, found
-    numerically; the profile is symmetric about 1/2."""
-    res = minimize_scalar(
-        lambda x: -LogarithmicRule._bound_rate_at(x),
-        bounds=(0.5, 1.0 - 1e-12), method="bounded", options={"xatol": 1e-10},
-    )
-    return -float(res.fun), float(res.x)
+    """(max, argmax) over x of the binary log rule's bound rate; the
+    profile is symmetric about 1/2.  On (1/2, 1) it peaks where its
+    derivative, a multiple of (1 - 2x) logit x + 1 = h' on the line of
+    slope 1, vanishes."""
+    x = _brentq(lambda x: _log_dh(1.0, x), 0.5 + 1e-9, 1.0 - 1e-12, _ROOT_XTOL)
+    return LogarithmicRule._bound_rate_at(x), x
 
 
 class ExponentialRule(ScoringRule):
@@ -433,7 +433,7 @@ def _log_dh(b, x):
 
 def _horner(P, x):
     """np.polyval(P, x) for a list P, without np.polyval's per-call array
-    setup, which dominated brentq's scalar calls."""
+    setup, which dominated the scalar calls of ``_brentq``."""
     y = 0.0
     for c in P:
         y = y * x + c
@@ -472,13 +472,71 @@ def _bisect_rows(g, lo, hi) -> np.ndarray:
         hi = np.where(gm < 0.0, hi, mid)
 
 
+def _brentq(f, a, b, xtol, maxiter=100) -> float:
+    """A root of f in [a, b], at whose ends f has opposite signs, by
+    Brent's method (Brent 1973, ch. 4).  A line-for-line port of
+    ``scipy/optimize/Zeros/brentq.c`` on Python floats, with its rtol = 4 eps
+    and its branches and operation order, so it returns that routine's
+    floats; where the C code divides by zero and gets an inf or nan trial
+    step, which fails the step test, the port bisects directly.  A root at
+    an end is returned as is; same signs raise ``InvalidArgumentError`` and
+    ``maxiter`` iterations without convergence ``IterationLimitError``."""
+    rtol = 4.0 * _EPS
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise InvalidArgumentError(f"f({a}) and f({b}) have the same sign")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        bound = 3 * abs(sbis) - delta
+        if stry is not None and 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+            # good short step
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise IterationLimitError(f"Brent's method did not converge in {maxiter} iterations",
+                              best=xcur)
+
+
 def _bracketed_roots(h, cuts) -> list:
     """Roots of h at the sorted ``cuts`` and one in every cell where h
     changes sign."""
     v = h(cuts)
     roots = [float(x) for x in cuts[v == 0.0]]
     for i in np.flatnonzero(v[:-1] * v[1:] < 0.0):
-        roots.append(brentq(h, cuts[i], cuts[i + 1], xtol=_ROOT_XTOL))
+        roots.append(_brentq(h, cuts[i], cuts[i + 1], _ROOT_XTOL))
     return roots
 
 

@@ -11,8 +11,9 @@ program, solved exactly by support enumeration (``_quadratic_simplex_rows``,
 one stacked solve per support size).  A binary problem is
 solved exactly by critical-point enumeration: phi is evaluated only at
 the ends, the map's knots and each piece's stationary points (closed
-forms, or roots bracketed for ``brentq``).  The one class left, the log
-rule under a linear map with n > 2 (phi is not concave in general), gets
+forms, or bracketed roots found by Brent's method).  The one class left,
+the log rule under a linear map with n > 2 (phi is not concave in
+general), gets
 multi-start projected gradient ascent, bounded by an iteration cap and
 never by wall-clock time, and its winner is finished by damped Newton
 steps on the tangent space.  All starts advance together: one kernel
@@ -40,7 +41,6 @@ from itertools import accumulate, combinations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .environment import EnvironmentMap, LinearMap
 from .errors import DomainError, InvalidArgumentError
@@ -276,10 +276,10 @@ def _newton_finish(problem: _RowProblem, x: np.ndarray, gn: float):
         while steps < NEWTON_STEPS and gn > 0.0:
             K = -(B.T @ _log_linear_hessian_rows(problem.f.A, x)[0] @ B)
             try:
-                factor = cho_factor(K)
+                np.linalg.cholesky(K)  # -B^T H B positive definite
             except np.linalg.LinAlgError:
                 break
-            cand = x + B @ cho_solve(factor, B.T @ G[0])
+            cand = x + B @ np.linalg.solve(K, B.T @ G[0])
             if not problem.rule._defined_rows(cand)[0]:
                 break
             cand = checked_rows(cand)

@@ -16,6 +16,7 @@ from perfscore.bounds import (
 from perfscore.environment import affine_binary, random_linear
 from perfscore.errors import DomainError, InvalidArgumentError
 from perfscore.scoring import (
+    _log_dh,
     exponential_binary_rule,
     logarithmic_rule,
     parse_rule,
@@ -141,6 +142,16 @@ class TestLogBinaryBound:
         _, xmax = log_binary_bound(1.0)
         h = lambda x: math.sqrt(2.0) * x * (1 - x) * abs(math.log(x / (1 - x)))
         assert h(xmax) >= h(xmax + 1e-4) and h(xmax) >= h(xmax - 1e-4)
+
+    def test_rate_constant_is_pinned(self):
+        assert log_binary_bound(1.0)[0] == 0.316602256269538
+
+    def test_argmax_is_the_root_of_the_profile_slope(self):
+        # the profile's slope is a multiple of h' on the line of slope 1;
+        # it changes sign between the argmax's neighbouring floats
+        _, xmax = log_binary_bound(1.0)
+        below, above = math.nextafter(xmax, 0.0), math.nextafter(xmax, 1.0)
+        assert _log_dh(1.0, below) > 0.0 > _log_dh(1.0, above)
 
 
 class TestDesignExponentialRule:

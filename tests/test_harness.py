@@ -311,18 +311,18 @@ class TestSweepCandidates:
     @pytest.mark.parametrize("rule", SIX_RULES, ids=str)
     def test_sweep_does_no_per_cell_work(self, rule, monkeypatch):
         calls = []
-        critical_points, brentq = rule._critical_points, scoring.brentq
+        critical_points, brentq = rule._critical_points, scoring._brentq
 
         def counted_points(*args):
             calls.append("_critical_points")
             return critical_points(*args)
 
         def counted_brentq(*args, **kwargs):
-            calls.append("brentq")
+            calls.append("_brentq")
             return brentq(*args, **kwargs)
 
         monkeypatch.setattr(rule, "_critical_points", counted_points)
-        monkeypatch.setattr(scoring, "brentq", counted_brentq)
+        monkeypatch.setattr(scoring, "_brentq", counted_brentq)
         binary_sweep(rule, BATCH_ALPHAS, BATCH_PSTARS, 1e-6)
         assert calls == []
         # the counters do count: the exact solver enumerates per piece

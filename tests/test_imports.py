@@ -12,9 +12,18 @@ roots come from one place, ``scoring._real_roots``, the only caller of
 ``np.roots``; ``environment`` builds no grid, so binary fixed points
 come from the map's pieces, not from a scan; and the binary sweep in
 ``harness`` never builds its 1e6-point grid.
+
+The library depends on numpy alone: no module imports ``scipy`` in any
+form (scipy serves the tests as a reference only), and a fresh
+interpreter that imports the CLI and runs the solves that need a root
+finder (the log rule's binary optimum) or a Cholesky test (its Newton
+finish under a linear map) has loaded no ``scipy`` module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,6 +143,43 @@ def test_scan_finds_pool_imports():
         "from . import solvers\nimport numpy as np\n"
     )
     assert imported_modules(source) == {"concurrent", "multiprocessing", "numpy"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(perfscore.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_module_imports_no_scipy(path):
+    assert "scipy" not in imported_modules(path.read_text())
+
+
+def test_scan_finds_scipy_imports():
+    for source in ("import scipy\n", "import scipy.linalg as la\n",
+                   "from scipy.optimize import brentq\n", "from scipy import optimize\n",
+                   "def f():\n    from scipy.linalg import cho_factor\n"):
+        assert imported_modules(source) == {"scipy"}
+
+
+FRESH_SOLVES = """
+import sys
+import numpy as np
+import perfscore.cli
+from perfscore.environment import bank_run, random_linear
+from perfscore.scoring import logarithmic_rule
+from perfscore.solvers import SolveConfig, performative_optimum
+
+performative_optimum(logarithmic_rule(2), bank_run())
+performative_optimum(logarithmic_rule(3), random_linear(3, np.random.default_rng(47)),
+                     SolveConfig(seed=47))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_fresh_interpreter_loads_no_scipy():
+    src = str(Path(perfscore.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-c", FRESH_SOLVES], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def calls_named(source: str, names: set) -> list:

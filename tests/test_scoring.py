@@ -3,8 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from perfscore import scoring
 from perfscore.bounds import log_binary_bound
-from perfscore.errors import DomainError, InvalidArgumentError
+from perfscore.environment import (
+    affine_binary,
+    bank_run,
+    random_linear,
+    ramp_binary,
+    shrink_to,
+    tabulated,
+)
+from perfscore.errors import DomainError, InvalidArgumentError, IterationLimitError
 from perfscore.scoring import (
     LogarithmicRule,
     QuadraticRule,
@@ -13,9 +22,15 @@ from perfscore.scoring import (
     logarithmic_rule,
     parse_rule,
     quadratic_rule,
+    _ROOT_XTOL,
     _bisect_rows,
+    _brentq,
+    _horner,
     _line_roots,
+    _log_dh,
+    _log_h,
 )
+from perfscore.solvers import performative_optimum
 from perfscore.simplex import (
     SimplexPoint,
     binary_point,
@@ -390,6 +405,94 @@ class TestLineCriticalRows:
         assert roots[0] == 0.5
         assert np.all(np.abs(roots - shift) <= np.spacing(shift))
         assert _bisect_rows(lambda x: x, np.zeros(0), np.zeros(0)).size == 0
+
+
+def sign_change_brackets(f, cuts):
+    """The cells of the sorted ``cuts`` at whose ends f changes sign."""
+    v = [f(x) for x in cuts]
+    return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1) if v[i] * v[i + 1] < 0.0]
+
+
+def seeded_brackets():
+    """(f, a, b): h and h' of the log rule on seeded lines over the cuts the
+    solver uses, and h on seeded cubics over a coarse scan."""
+    b, c = random_lines(200, 2123)
+    out = []
+    for bk, ck in zip(b.tolist(), c.tolist()):
+        h = lambda x, bk=bk, ck=ck: _log_h(bk, bk * x + ck, x)
+        dh = lambda x, bk=bk: _log_dh(bk, x)
+        for f in (h, dh):
+            out += [(f, u, v) for u, v in sign_change_brackets(f, [1e-6, 0.5, 1.0 - 1e-6])]
+        out += [(h, u, v) for u, v in sign_change_brackets(h, [1e-3, 0.2, 0.45, 0.7, 0.999])]
+    rng = np.random.default_rng(2124)
+    for _ in range(100):
+        P = rng.uniform(-3.0, 3.0, 4)
+        f1, slope = P.tolist(), np.polyder(P).tolist()
+        h = lambda x, f1=f1, slope=slope: _log_h(_horner(slope, x), _horner(f1, x), x)
+        out += [(h, u, v) for u, v in sign_change_brackets(h, np.linspace(1e-3, 0.999, 12).tolist())]
+    return out
+
+
+def family_brackets(monkeypatch):
+    """Every (f, a, b) the exact log-rule solver brackets on the binary map
+    families: affine (also with negative slopes), bank-run, ramp, shrink,
+    2x2 linear and tabulated."""
+    rng = np.random.default_rng(2125)
+    maps = [bank_run()]
+    for _ in range(6):
+        maps += [
+            affine_binary(binary_point(rng.uniform(0.35, 0.65)), rng.uniform(-0.5, 0.9)),
+            ramp_binary(rng.uniform(0.05, 0.3), rng.uniform(0.01, 0.3)),
+            shrink_to(binary_point(rng.uniform(0.1, 0.9)), rng.uniform(0.1, 0.9)),
+            random_linear(2, rng),
+            tabulated(np.linspace(0.0, 1.0, 5), rng.uniform(0.05, 0.95, 5)),
+        ]
+    calls = []
+
+    def recorded(f, a, b, xtol):
+        calls.append((f, a, b))
+        return _brentq(f, a, b, xtol)
+
+    monkeypatch.setattr(scoring, "_brentq", recorded)
+    rule = logarithmic_rule(2)
+    for f in maps:
+        performative_optimum(rule, f)
+    monkeypatch.undo()
+    return calls
+
+
+class TestBrentq:
+    """``_brentq`` is a port of scipy's C ``brentq``: the same floats."""
+
+    def test_bit_identical_to_scipy(self, monkeypatch):
+        optimize = pytest.importorskip("scipy.optimize")
+        brackets = seeded_brackets()
+        families = family_brackets(monkeypatch)
+        assert len(brackets) > 300 and len(families) > 20
+        for f, a, b in brackets + families:
+            got = _brentq(f, a, b, _ROOT_XTOL)
+            assert got == optimize.brentq(f, a, b, xtol=_ROOT_XTOL)
+            assert type(got) is float and a <= got <= b
+
+    def test_root_at_an_end(self):
+        assert _brentq(lambda x: x - 0.25, 0.25, 1.0, 1e-15) == 0.25
+        assert _brentq(lambda x: x - 1.0, 0.25, 1.0, 1e-15) == 1.0
+        # an end root is returned before the signs are compared
+        assert _brentq(lambda x: x * x, 0.0, 1.0, 1e-15) == 0.0
+
+    def test_same_signs_raise(self):
+        with pytest.raises(InvalidArgumentError):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15)
+        with pytest.raises(InvalidArgumentError):
+            _brentq(lambda x: x - 2.0, 0.0, 1.0, 1e-15)
+
+    def test_iteration_limit(self):
+        f = lambda x: math.exp(x) - 2.0
+        assert _brentq(f, 0.0, 1.0, 1e-15) == pytest.approx(math.log(2.0), abs=1e-15)
+        with pytest.raises(IterationLimitError) as info:
+            _brentq(f, 0.0, 1.0, 1e-15, maxiter=2)
+        assert isinstance(info.value, RuntimeError)
+        assert 0.0 < info.value.best < 1.0
 
 
 FAMILIES = [

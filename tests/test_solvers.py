@@ -384,6 +384,26 @@ class TestLogLinearNewtonFinish:
         assert res.gradient_norm_final <= 1e-12 and res.converged
         assert res.objective >= before - 1e-15 * max(1.0, abs(before))
 
+    @pytest.mark.parametrize("n, seed", [(3, 47), (5, 53)])
+    def test_non_finite_hessian_ends_the_finish(self, n, seed, monkeypatch):
+        # a NaN tangent Hessian gives a NaN step, whose candidate is not
+        # interior: the ascent's winner is returned, scored by its own |g|
+        lg = logarithmic_rule(n)
+        env = random_linear(n, np.random.default_rng(seed))
+        cfg = SolveConfig(seed=seed)
+        starts = _structured_starts(lg, n, cfg, np.random.default_rng(cfg.seed))
+        problem = _RowProblem(lg, env)
+        rows = _ascend_rows(problem, starts, cfg.max_iters, ASCENT_STEP, ASCENT_TOL)
+        k = int(_best_index(rows.P, rows.phi))
+        monkeypatch.setattr(solvers, "_log_linear_hessian_rows",
+                            lambda A, P: np.full((1, n, n), np.nan))
+        res = performative_optimum(lg, env, cfg)
+        assert np.array_equal(res.report.probs, SimplexPoint(rows.P[k]).probs)
+        assert res.iterations == rows.iterations[k]
+        gn = float(np.linalg.norm(problem.gradient(rows.P[k:k + 1], None)[0]))
+        assert res.gradient_norm_final == gn
+        assert res.converged == (gn <= ASCENT_TOL)
+
     def test_boundary_winner_skips_the_finish(self):
         # a frozen belief on a face: the winning row leaves the interior,
         # where the Hessian is undefined, and is returned as the ascent left it
